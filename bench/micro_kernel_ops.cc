@@ -455,9 +455,13 @@ BENCHMARK(BM_SchedPick)->Arg(32)->Arg(128);
 
 // Per-quantum cost of the batched stepper on an idle-heavy fleet (the
 // fleet-scenario steady state: most threads energyless, a couple runnable)
-// at plan horizons K in {1, 16, 64}. Results are bit-identical across K
-// (golden-tested); only the per-quantum overhead moves. items_per_second is
-// quanta per second — the honest single-CPU number for docs/PERFORMANCE.md.
+// at plan horizons K in {1, 16, 64}, against K = 0 (no plans, the plain Step
+// loop). Batches are dry (no taps, decay off), so a plan may run all K
+// quanta: picks average 16 positions, which pays for a plan at K = 64 but
+// not at 16 or 1, where the stepper runs plan-free. Results are bit-identical
+// across K (golden-tested); only the per-quantum overhead moves.
+// items_per_second is quanta per second — the honest single-CPU number for
+// docs/PERFORMANCE.md.
 void BM_SimStepBatched(benchmark::State& state) {
   SimConfig cfg;
   cfg.decay_enabled = false;
@@ -479,7 +483,57 @@ void BM_SimStepBatched(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kQuantaPerIter);
 }
-BENCHMARK(BM_SimStepBatched)->ArgName("K")->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_SimStepBatched)->ArgName("K")->Arg(0)->Arg(1)->Arg(16)->Arg(64);
+
+// The plan choice at scale: N processes, two funded and the rest starved,
+// plus one flowing tap so every tap batch moves flow and caps a plan at the
+// 10 quanta before the next batch. Picks average N/2 positions, so a plan
+// would cover 5N of them, under the 6N + 128 its classify pass costs: the
+// default stepper declines (BM_SimStepStarved). The PlansOff arm never
+// builds and the PlansForced arm builds one every stretch, in the same
+// stretch loop, so the three compare the decision's two sides directly;
+// PlansForced also guards the build against growing faster than linearly
+// in N. One iteration is one 10 ms Run (one stretch).
+void RunStarvedFleet(benchmark::State& state, PlanBuildPolicy policy) {
+  SimConfig cfg;
+  cfg.decay_enabled = false;
+  Simulator sim(cfg);
+  sim.scheduler().set_plan_build_policy(policy);
+  Kernel& k = sim.kernel();
+  const int n_threads = static_cast<int>(state.range(0));
+  for (int i = 0; i < n_threads; ++i) {
+    auto proc = sim.CreateProcess("p" + std::to_string(i));
+    Reserve* r = k.Create<Reserve>(proc.container, Label(Level::k1), "r");
+    if (i < 2) {
+      r->Deposit(INT64_MAX / 4);
+    }
+    k.LookupTyped<Thread>(proc.thread)->set_active_reserve(r->id());
+    sim.AttachBody(proc.thread, std::make_unique<SpinBody>());
+  }
+  Reserve* fed = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "fed");
+  Tap* feed = k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed",
+                            sim.battery_reserve_id(), fed->id());
+  feed->SetConstantPower(Power::Milliwatts(1));
+  sim.taps().Register(feed->id());
+  constexpr int64_t kQuantaPerIter = 10;
+  for (auto _ : state) {
+    sim.Run(Duration::Millis(kQuantaPerIter));
+  }
+  benchmark::DoNotOptimize(fed->level());
+  state.SetItemsProcessed(state.iterations() * kQuantaPerIter);
+}
+void BM_SimStepStarved(benchmark::State& state) {
+  RunStarvedFleet(state, PlanBuildPolicy::kWhenItPays);
+}
+void BM_SimStepStarvedPlansOff(benchmark::State& state) {
+  RunStarvedFleet(state, PlanBuildPolicy::kNever);
+}
+void BM_SimStepStarvedPlansForced(benchmark::State& state) {
+  RunStarvedFleet(state, PlanBuildPolicy::kAlways);
+}
+BENCHMARK(BM_SimStepStarved)->ArgName("threads")->Arg(256)->Arg(1024);
+BENCHMARK(BM_SimStepStarvedPlansOff)->ArgName("threads")->Arg(256)->Arg(1024);
+BENCHMARK(BM_SimStepStarvedPlansForced)->ArgName("threads")->Arg(256)->Arg(1024);
 
 void BM_ObjectCreateDelete(benchmark::State& state) {
   Kernel k;

@@ -13,8 +13,10 @@
 # BM_DecaySparse/{4096,32768}, the giant-component worker-scaling cases
 # BM_TapBatchGiant/taps:32768 at 1/2/4 workers, the chain-cutting cases
 # BM_TapBatchChain/depth:{1024,8192} at 1/4 workers, and the scheduler-plan
-# cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64}) regressed by more
-# than 20% — the cross-PR CI gate.
+# cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64} +
+# BM_SimStepStarved/threads:{256,1024} +
+# BM_SimStepStarvedPlansForced/threads:1024, the plan-build cost at scale)
+# regressed by more than 20% — the cross-PR CI gate.
 #
 # Independent of --compare, every run whose filter covers both tap-batch
 # benchmarks also runs the paired telemetry-overhead probe
@@ -115,6 +117,9 @@ if [[ -n "$baseline" ]]; then
     --gate 'BM_SimStepBatched/K:1' \
     --gate 'BM_SimStepBatched/K:16' \
     --gate 'BM_SimStepBatched/K:64' \
+    --gate 'BM_SimStepStarved/threads:256' \
+    --gate 'BM_SimStepStarved/threads:1024' \
+    --gate 'BM_SimStepStarvedPlansForced/threads:1024' \
     --max-regression 0.20 \
     "${warn_flag[@]}"
 fi

@@ -119,6 +119,7 @@ ObjectId EnergyAwareScheduler::PickNext(SimTime now,
       t->IncrementQuantaDenied();
       continue;
     }
+    plan_stats_.scan_positions += i + 1;
     rr_cursor_ = (idx + 1) % n;
     last_pick_ = idx;
     if (telemetry_ != nullptr) {
@@ -126,6 +127,7 @@ ObjectId EnergyAwareScheduler::PickNext(SimTime now,
     }
     return threads_[idx];
   }
+  plan_stats_.scan_positions += n;
   if (telemetry_ != nullptr) {
     EmitPick(now, kInvalidObjectId, 0);
   }
@@ -276,14 +278,38 @@ void EnergyAwareScheduler::InvalidatePlan() {
   plan_pos_ = 0;
 }
 
-uint32_t EnergyAwareScheduler::BoundIndexFor(Quantity* cell) {
-  for (size_t b = 0; b < plan_bounds_.size(); ++b) {
-    if (plan_bounds_[b].cell == cell) {
-      return static_cast<uint32_t>(b);
+EnergyAwareScheduler::BoundSlot& EnergyAwareScheduler::ProbeBoundSlot(Quantity* cell) {
+  // Cells of one state bank are consecutive 8-byte words; a multiplicative
+  // mix spreads them (and object-field cells) over the whole table.
+  uint64_t h = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(cell)) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  const size_t mask = bound_slots_.size() - 1;
+  for (size_t s = h & mask;; s = (s + 1) & mask) {
+    BoundSlot& slot = bound_slots_[s];
+    if (slot.stamp != bound_stamp_ || slot.cell == cell) {
+      return slot;
     }
   }
-  plan_bounds_.push_back(CellBound{cell, *cell, *cell});
-  return static_cast<uint32_t>(plan_bounds_.size() - 1);
+}
+
+uint32_t EnergyAwareScheduler::BoundIndexFor(Quantity* cell) {
+  if (2 * (plan_bounds_.size() + 1) > bound_slots_.size()) {
+    // Keep the map at most half full so probe runs stay short: double it and
+    // re-insert this build's bounds. Only a build meeting more distinct cells
+    // than any before it allocates.
+    bound_slots_.assign(bound_slots_.empty() ? 64 : 2 * bound_slots_.size(), BoundSlot{});
+    bound_stamp_ = 1;
+    for (size_t b = 0; b < plan_bounds_.size(); ++b) {
+      ProbeBoundSlot(plan_bounds_[b].cell) =
+          BoundSlot{plan_bounds_[b].cell, static_cast<uint32_t>(b), bound_stamp_};
+    }
+  }
+  BoundSlot& slot = ProbeBoundSlot(cell);
+  if (slot.stamp != bound_stamp_) {
+    slot = BoundSlot{cell, static_cast<uint32_t>(plan_bounds_.size()), bound_stamp_};
+    plan_bounds_.push_back(CellBound{cell, *cell, *cell});
+  }
+  return slot.index;
 }
 
 size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
@@ -300,6 +326,12 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
   scan_members_.clear();
   plan_bounds_.clear();
   member_bounds_.clear();
+  // A new stamp empties the cell map. When the stamp wraps, slots stamped
+  // 2^32 builds ago would read as occupied again, so clear them for real.
+  if (++bound_stamp_ == 0) {
+    bound_slots_.assign(bound_slots_.size(), BoundSlot{});
+    bound_stamp_ = 1;
+  }
 
   // Pass 1: classify every thread once. Runnable threads and already-due
   // sleepers join the scan set (in index order, so the circular walk below
@@ -364,17 +396,23 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
   const size_t m_count = scan_members_.size();
   uint64_t spec_epoch = kernel_->sched_epoch();
   size_t spec_cursor = rr_cursor_;
+  // The walk starts at the first scan member at or after the cursor, or at
+  // the first member when there is none. After a pick at member m the cursor
+  // moves just past it, so the next walk starts at m + 1 (wrapping) and only
+  // the first quantum needs this search.
+  size_t start = static_cast<size_t>(
+      std::lower_bound(scan_members_.begin(), scan_members_.end(), spec_cursor,
+                       [](const ScanMember& m, size_t cursor) { return m.idx < cursor; }) -
+      scan_members_.begin());
   for (uint64_t qn = 0; qn < cap && end_reason != kSchedPlanEndUncertain; ++qn) {
     PlanEntry entry;
     entry.denied_begin = static_cast<uint32_t>(plan_denied_.size());
     entry.wake_begin = static_cast<uint32_t>(plan_wakes_.size());
     entry.sched_epoch = spec_epoch;
-    size_t start = 0;
-    while (start < m_count && scan_members_[start].idx < spec_cursor) {
-      ++start;
-    }
-    for (size_t step = 0; step < m_count && entry.pick == kNoPick; ++step) {
-      ScanMember& m = scan_members_[(start + step) % m_count];
+    size_t at = start < m_count ? start : 0;
+    for (size_t step = 0; step < m_count && entry.pick == kNoPick;
+         ++step, at = at + 1 < m_count ? at + 1 : 0) {
+      ScanMember& m = scan_members_[at];
       if (m.due_sleeper && !m.woken) {
         m.woken = true;
         plan_wakes_.push_back(m.idx);
@@ -395,6 +433,7 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
           break;
         }
         entry.pick = m.idx;
+        start = at + 1;
         // Charge the bracket onto the active cell: lo >= cost_hi, so neither
         // trajectory clamps and the interval stays exact.
         CellBound& ab = plan_bounds_[m.active_bound];
@@ -415,8 +454,12 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
     }
     entry.denied_count = static_cast<uint32_t>(plan_denied_.size()) - entry.denied_begin;
     entry.wake_count = static_cast<uint32_t>(plan_wakes_.size()) - entry.wake_begin;
+    // What PickNext would have examined this quantum; counted on replay.
     if (entry.pick != kNoPick) {
+      entry.scanned = static_cast<uint32_t>((entry.pick + n - spec_cursor) % n + 1);
       spec_cursor = (entry.pick + 1) % n;
+    } else {
+      entry.scanned = static_cast<uint32_t>(n);
     }
     spec_epoch += entry.wake_count;
     // The baseline tick drains after the quantum; ConsumeUpTo's update is
@@ -441,6 +484,22 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
     EmitPlanBuild(now, plan_.size(), p.max_quanta, end_reason);
   }
   return plan_.size();
+}
+
+size_t EnergyAwareScheduler::BuildPlanIfItPays(SimTime now, const SchedPlanParams& p) {
+  const uint64_t quanta_done = plan_stats_.single_step_picks + plan_stats_.quanta_replayed;
+  const uint64_t scans = plan_stats_.scan_positions - decision_scans_;
+  const uint64_t quanta = quanta_done - decision_quanta_;
+  decision_scans_ = plan_stats_.scan_positions;
+  decision_quanta_ = quanta_done;
+  bool build = plan_build_policy_ == PlanBuildPolicy::kAlways;
+  if (plan_build_policy_ == PlanBuildPolicy::kWhenItPays && quanta > 0) {
+    // Both factors are below 2^32 (a scan examines at most the queue), so
+    // the product cannot overflow.
+    const uint64_t predicted = scans / quanta * p.max_quanta;
+    build = predicted > kPlanPayoffScansPerThread * threads_.size() + kPlanPayoffScansPerBuild;
+  }
+  return build ? BuildPlan(now, p) : 0;
 }
 
 bool EnergyAwareScheduler::PlanCurrent() const {
@@ -477,6 +536,7 @@ bool EnergyAwareScheduler::TryPlannedPick(SimTime now, ObjectId* picked) {
   }
   ++plan_pos_;
   ++plan_stats_.quanta_replayed;
+  plan_stats_.scan_positions += e.scanned;
   if (telemetry_ != nullptr) {
     EmitPick(now, result, kSchedPickPlanned);
   }

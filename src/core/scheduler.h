@@ -8,6 +8,7 @@
 // attach order (threads "draw from one or more energy reserves").
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -39,7 +40,13 @@ struct SchedPlanParams {
 };
 
 // Lifetime counters for the run-plan machinery; the plan-hit ratio is
-// quanta_replayed / (quanta_replayed + single_step_picks).
+// quanta_replayed / (quanta_replayed + single_step_picks). Simulator::RunUntil
+// builds plans only where they pay (EnergyAwareScheduler::BuildPlanIfItPays),
+// so a queue whose picks stop at the first thread they look at shows
+// plans_built near 0 and a plan-hit ratio near 0 by design. Where plans are
+// built, a tap batch that moves flow caps each one at the next batch boundary
+// (10 quanta at the default periods); only dry batches let a plan run its
+// full max_quanta.
 struct SchedPlanStats {
   uint64_t plans_built = 0;
   uint64_t quanta_planned = 0;    // Sum of plan lengths at build time.
@@ -47,7 +54,19 @@ struct SchedPlanStats {
   uint64_t quanta_discarded = 0;  // Planned entries dropped by invalidation.
   uint64_t plans_cut = 0;         // Epoch-guard mismatches that cut a plan.
   uint64_t single_step_picks = 0; // Full PickNext scans.
+  // Queue positions the executed quanta examined: each PickNext adds the
+  // threads it looked at (the winner's offset from the cursor + 1, or the
+  // queue length when nothing runs), and each replayed entry adds what
+  // PickNext would have examined in its place. Discarded entries add nothing.
+  uint64_t scan_positions = 0;
 };
+
+// Whether EnergyAwareScheduler::BuildPlanIfItPays consults the pay-off
+// model. kAlways builds at every call, so the batched stepper plans in every
+// stretch, and kNever builds none. Tests use kAlways to pin the plan
+// contract at horizons where the model never plans; benchmarks use both to
+// measure each side of the model's choice.
+enum class PlanBuildPolicy : uint8_t { kWhenItPays, kAlways, kNever };
 
 class EnergyAwareScheduler : public KernelObserver {
  public:
@@ -83,7 +102,11 @@ class EnergyAwareScheduler : public KernelObserver {
   // within [cost_lo, cost_hi], a winner's active reserve cannot cover
   // cost_hi on its own (spill/debt billing would depend on the exact cost),
   // or a sleeper deadline falls inside the horizon. Returns the planned
-  // length (possibly 0).
+  // length (possibly 0). A build classifies every queued thread once (the
+  // cell-to-bound lookup is constant time) and then walks, per planned
+  // quantum, the positions PickNext would have examined, so its cost is
+  // linear in the queue length plus the scan work of the quanta it plans.
+  // Always builds when called; BuildPlanIfItPays is the gated entry point.
   //
   // Validity contract: a plan replays only while (a) the kernel mutation
   // epoch, (b) the kernel reserve-op epoch (out-of-band deposit/withdraw/
@@ -93,6 +116,29 @@ class EnergyAwareScheduler : public KernelObserver {
   // entry. Any other bump cuts the remainder and the caller falls back to
   // PickNext.
   size_t BuildPlan(SimTime now, const SchedPlanParams& p);
+
+  // BuildPlan, but only when the plan is predicted to cost less than the
+  // PickNext scans it replaces; otherwise builds nothing and returns 0. A
+  // plan still walks every position those scans would examine, so it saves
+  // only a constant per position and must win back its classify pass over
+  // the whole queue. The prediction is the average scan length of the quanta
+  // executed since the previous call (SchedPlanStats::scan_positions) times
+  // p.max_quanta; the plan pays when that exceeds
+  //   kPlanPayoffScansPerThread * queue length + kPlanPayoffScansPerBuild
+  // positions. Each call starts a new measuring interval, and the first call
+  // (no history) never builds. Reads simulation state only, so the choice is
+  // deterministic. The plan build policy can override the model.
+  size_t BuildPlanIfItPays(SimTime now, const SchedPlanParams& p);
+
+  // The pay-off model's constants, in queue positions, fitted to a sweep that
+  // ran each stretch with plans forced on and forced off (2 to 1024 threads,
+  // 10- and 64-quantum horizons, on a 4-vCPU Xeon VM; docs/PERFORMANCE.md):
+  // a build costs ~23 ns per queued thread and a planned position saves ~4 ns
+  // over a scanned one. bench/ablation_plan_payoff re-checks them.
+  static constexpr uint64_t kPlanPayoffScansPerThread = 6;
+  static constexpr uint64_t kPlanPayoffScansPerBuild = 128;
+
+  void set_plan_build_policy(PlanBuildPolicy policy) { plan_build_policy_ = policy; }
 
   // Replays the next plan entry: applies the recorded wakes and denied
   // counters, advances the round-robin cursor, and returns the planned pick
@@ -169,6 +215,7 @@ class EnergyAwareScheduler : public KernelObserver {
     uint32_t denied_count = 0;
     uint32_t wake_begin = 0;
     uint32_t wake_count = 0;
+    uint32_t scanned = 0;  // Positions PickNext would have examined.
     uint64_t sched_epoch = 0;
   };
 
@@ -191,7 +238,20 @@ class EnergyAwareScheduler : public KernelObserver {
     bool woken = false;
     bool eligible = false;
   };
+  // One slot of the open-addressing map from a level cell to its
+  // plan_bounds_ index. A slot is occupied only while its stamp equals
+  // bound_stamp_, so each build empties the map by bumping the stamp and the
+  // slots keep their capacity.
+  struct BoundSlot {
+    Quantity* cell = nullptr;
+    uint32_t index = 0;
+    uint32_t stamp = 0;
+  };
+  // Returns the plan_bounds_ index for `cell`, adding a bound at the cell's
+  // current level on first sight; constant time.
   uint32_t BoundIndexFor(Quantity* cell);
+  // The slot holding `cell` this build, or the free slot where it belongs.
+  BoundSlot& ProbeBoundSlot(Quantity* cell);
 
   Kernel* kernel_;
   TraceDomain* telemetry_ = nullptr;
@@ -212,10 +272,17 @@ class EnergyAwareScheduler : public KernelObserver {
   uint64_t plan_mutation_epoch_ = 0;
   uint64_t plan_reserve_op_epoch_ = 0;
   SchedPlanStats plan_stats_;
+  PlanBuildPolicy plan_build_policy_ = PlanBuildPolicy::kWhenItPays;
+  // plan_stats_.scan_positions and the executed-quanta count at the last
+  // BuildPlanIfItPays call: the start of its measuring interval.
+  uint64_t decision_scans_ = 0;
+  uint64_t decision_quanta_ = 0;
   // Build scratch (capacity reused).
   std::vector<ScanMember> scan_members_;
   std::vector<CellBound> plan_bounds_;
   std::vector<uint32_t> member_bounds_;
+  std::vector<BoundSlot> bound_slots_;  // Power-of-two size, at most half full.
+  uint32_t bound_stamp_ = 0;
 };
 
 }  // namespace cinder

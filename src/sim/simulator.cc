@@ -29,6 +29,19 @@ SimConfig SimConfig::Normalized() const {
   n.decay_to_shard_root = n.exec.decay_to_shard_root;
   n.tap_split_threshold = n.exec.tap_split_threshold;
   n.tap_split_ranges = n.exec.tap_split_ranges;
+  // A zero quantum never advances the clock (Run would spin forever) and a
+  // non-positive batch period never runs a batch.
+  const SimConfig fallback;
+  if (n.quantum <= Duration::Zero()) {
+    CINDER_WLOG() << "SimConfig.quantum " << n.quantum.us() << " us is not positive; using "
+                  << fallback.quantum.us() << " us";
+    n.quantum = fallback.quantum;
+  }
+  if (n.tap_batch <= Duration::Zero()) {
+    CINDER_WLOG() << "SimConfig.tap_batch " << n.tap_batch.us() << " us is not positive; using "
+                  << fallback.tap_batch.us() << " us";
+    n.tap_batch = fallback.tap_batch;
+  }
   return n;
 }
 
@@ -294,7 +307,7 @@ void Simulator::Run(Duration d) { RunUntil(now_ + d); }
 void Simulator::RunUntil(SimTime t) {
   const uint32_t plan_quanta = config_.exec.sched_plan_quanta;
   const int64_t q_us = config_.quantum.us();
-  if (plan_quanta == 0 || q_us <= 0) {
+  if (plan_quanta == 0) {
     while (now_ < t) {
       Step();
     }
@@ -317,17 +330,18 @@ void Simulator::RunUntil(SimTime t) {
     StepHead();
     MeterBatch mb;
     bool stretch_done = false;
-    bool built = false;
+    bool decided = false;
     do {
-      // (Re)build at most one plan per stretch, the first time no valid
-      // plan remains; if a guard cuts it mid-stretch, the remaining quanta
-      // fall back to PickNext and the next stretch rebuilds.
-      if (!built && !scheduler_->PlanCurrent()) {
-        built = true;
-        // Horizon: never past the run end, and when the last tap batch
-        // moved flow (so the next one will cut the plan anyway), not past
-        // the next batch boundary either. Sleeper deadlines cap it further
-        // inside BuildPlan.
+      // Decide at most once per stretch, the first time no valid plan
+      // remains, whether a plan would pay; if a guard cuts a plan
+      // mid-stretch, the remaining quanta fall back to PickNext and the next
+      // stretch decides again.
+      if (!decided && !scheduler_->PlanCurrent()) {
+        decided = true;
+        // Horizon: never past the run end, and when the last tap batch moved
+        // flow (so the next one will cut the plan anyway), not past the next
+        // batch boundary either. Sleeper deadlines cap it further inside
+        // BuildPlan.
         uint64_t horizon = static_cast<uint64_t>((t.us() - now_.us() + q_us - 1) / q_us);
         if (last_batch_moved_flow_ && next_tap_batch_ > now_) {
           const uint64_t to_batch =
@@ -337,7 +351,7 @@ void Simulator::RunUntil(SimTime t) {
         params.max_quanta =
             static_cast<uint32_t>(horizon < plan_quanta ? horizon : plan_quanta);
         params.baseline_reserve = battery_reserve();
-        scheduler_->BuildPlan(now_, params);
+        scheduler_->BuildPlanIfItPays(now_, params);
       }
       StepQuantum(&mb);
       stretch_done = now_ >= t || now_ >= next_tap_batch_ ||

@@ -68,13 +68,21 @@ struct ExecConfig {
   // ranges cannot help because their demand groups straddle everything.
   // Only meaningful with sharding (tap_workers >= 1 or decay_to_shard_root).
   uint32_t shard_cut_threshold = 0;
-  // K-quanta scheduler run plans (PR 9): Run/RunUntil precompute the pick
+  // K-quanta scheduler run plans: Run/RunUntil may precompute the pick
   // sequence for up to this many quanta at a time and replay it without
   // per-quantum PickNext scans, falling back to the single-quantum path the
-  // moment an epoch guard cuts the plan (docs/PERFORMANCE.md "PR 9" has the
-  // invalidation contract). Results are bit-identical for any value — golden
-  // tests pin K in {1,4,16,64} against 0. 0 disables planning entirely
-  // (every quantum is a full Step). Step() itself never plans.
+  // moment an epoch guard cuts the plan (docs/PERFORMANCE.md has the
+  // invalidation contract). A plan is built only where it pays
+  // (EnergyAwareScheduler::BuildPlanIfItPays): when the scan work predicted
+  // over its horizon is several times the queue length. A funded queue,
+  // whose picks stop at the first thread they look at, runs plan-free. K is
+  // an upper bound: a tap batch that moves flow caps a plan at the next
+  // batch boundary (10 quanta at the default periods), and at that horizon
+  // only a nearly idle queue of more than ~30 threads plans; dry batches let
+  // a plan run its full K quanta, where a queue with long denial scans pays.
+  // Results are bit-identical for any value — golden tests pin K in
+  // {1,4,16,64} against 0. 0 disables planning entirely (every quantum is a
+  // full Step). Step() itself never plans.
   uint32_t sched_plan_quanta = 64;
 };
 
@@ -102,7 +110,9 @@ struct SimConfig {
   bool decay_to_shard_root = false;
   uint32_t tap_split_threshold = 4096;
   uint32_t tap_split_ranges = 8;
-  // The config the Simulator actually runs (alias reconciliation applied).
+  // The config the Simulator actually runs: alias reconciliation applied,
+  // and a non-positive quantum or tap_batch (which would never advance the
+  // clock or never run a batch) replaced by its default with a warning.
   SimConfig Normalized() const;
 };
 

@@ -9,6 +9,9 @@
 // at every mutation the script throws, or a stale entry diverges the run.
 // The sharded variant reruns the property with a tap worker pool so the
 // plan path is exercised under TSAN in CI alongside the other shard suites.
+// These fleets are far too small for a plan to pay, so the batched runs
+// build one at every decision (PlanBuildPolicy::kAlways) and check that
+// plans really were built and replayed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -83,6 +86,7 @@ struct ChurnFingerprint {
   int64_t battery = 0;
   int64_t true_energy_nj = 0;
   int64_t cpu_meter_nj = 0;
+  SchedPlanStats plan;
 };
 
 ChurnFingerprint RunScript(const ChurnScript& script, uint32_t plan_quanta, int workers) {
@@ -91,6 +95,7 @@ ChurnFingerprint RunScript(const ChurnScript& script, uint32_t plan_quanta, int 
   cfg.exec.sched_plan_quanta = plan_quanta;
   cfg.exec.tap_workers = workers;
   Simulator sim(cfg);
+  sim.scheduler().set_plan_build_policy(PlanBuildPolicy::kAlways);
   Kernel& k = sim.kernel();
   Thread* boot = sim.boot_thread();
 
@@ -173,6 +178,7 @@ ChurnFingerprint RunScript(const ChurnScript& script, uint32_t plan_quanta, int 
   fp.battery = sim.battery_reserve()->level();
   fp.true_energy_nj = sim.total_true_energy().nj();
   fp.cpu_meter_nj = sim.meter().ForComponent(Component::kCpu).nj();
+  fp.plan = sim.scheduler().plan_stats();
   return fp;
 }
 
@@ -190,7 +196,10 @@ TEST_P(SchedPlanProperty, ChurnedRunsMatchPlanFreeReferenceAtEveryK) {
         << "seed=" << GetParam() << " K=" << plan_quanta;
     EXPECT_EQ(got.cpu_meter_nj, reference.cpu_meter_nj)
         << "seed=" << GetParam() << " K=" << plan_quanta;
+    EXPECT_GT(got.plan.plans_built, 0u) << "seed=" << GetParam() << " K=" << plan_quanta;
+    EXPECT_GT(got.plan.quanta_replayed, 0u) << "seed=" << GetParam() << " K=" << plan_quanta;
   }
+  EXPECT_EQ(reference.plan.plans_built, 0u);
 }
 
 TEST_P(SchedPlanProperty, ShardedChurnedRunsMatchSerialReference) {
@@ -204,6 +213,8 @@ TEST_P(SchedPlanProperty, ShardedChurnedRunsMatchSerialReference) {
   EXPECT_EQ(got.battery, reference.battery) << "seed=" << GetParam();
   EXPECT_EQ(got.true_energy_nj, reference.true_energy_nj) << "seed=" << GetParam();
   EXPECT_EQ(got.cpu_meter_nj, reference.cpu_meter_nj) << "seed=" << GetParam();
+  EXPECT_GT(got.plan.plans_built, 0u) << "seed=" << GetParam();
+  EXPECT_GT(got.plan.quanta_replayed, 0u) << "seed=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedPlanProperty, ::testing::Values(3, 17, 41, 97, 131, 257));

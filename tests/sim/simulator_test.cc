@@ -141,6 +141,29 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(SimulatorTest, NonPositiveQuantumAndBatchPeriodFallBackToDefaults) {
+  // A zero quantum would never advance the clock and a negative batch period
+  // would never run a batch; both are replaced by their defaults.
+  SimConfig cfg = QuietConfig();
+  cfg.quantum = Duration::Zero();
+  cfg.tap_batch = Duration::Millis(-10);
+  Simulator sim(cfg);
+  EXPECT_EQ(sim.config().quantum.us(), SimConfig{}.quantum.us());
+  EXPECT_EQ(sim.config().tap_batch.us(), SimConfig{}.tap_batch.us());
+  Kernel& k = sim.kernel();
+  Thread* boot = sim.boot_thread();
+  ObjectId r = ReserveCreate(k, *boot, k.root_container_id(), Label(Level::k1), "r").value();
+  ObjectId tap = TapCreate(k, sim.taps(), *boot, k.root_container_id(), sim.battery_reserve_id(),
+                           r, Label(Level::k1), "feed")
+                     .value();
+  ASSERT_EQ(TapSetConstantPower(k, *boot, tap, Power::Milliwatts(100)), Status::kOk);
+  sim.Run(Duration::Millis(5));
+  EXPECT_EQ(sim.now(), SimTime::Zero() + Duration::Millis(5));
+  sim.Run(Duration::Millis(10));
+  // The batch at t = 10 ms moved 10 ms of the 100 mW feed.
+  EXPECT_EQ(ReserveLevel(k, *boot, r).value(), ToQuantity(Energy::Millijoules(1)));
+}
+
 TEST(SimulatorTest, BatteryReserveTracksBaseline) {
   Simulator sim(QuietConfig());
   Energy before = sim.battery_reserve()->energy();

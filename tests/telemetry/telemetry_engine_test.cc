@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/syscalls.h"
@@ -373,20 +374,26 @@ TEST(TelemetrySimulatorTest, PlannedPicksCarryTheFlagAndBuildRecords) {
   // Under the default batched stepper, replayed quanta keep emitting one
   // kSchedPick each — distinguished only by the planned flag — and each
   // BuildPlan emits one kSchedPlanBuild whose v0 sums to the planned total.
+  // One funded spinner among seven energyless ones: every pick scans the
+  // whole queue, so the stepper's plans pay and it builds them.
   SimConfig cfg;
   cfg.telemetry.enabled = true;
   cfg.telemetry.spill_grow = true;
   cfg.decay_enabled = false;
   Simulator sim(cfg);
   Kernel& k = sim.kernel();
-  auto proc = sim.CreateProcess("spin");
-  ObjectId r =
-      ReserveCreate(k, *sim.boot_thread(), proc.container, Label(Level::k1), "r").value();
-  ASSERT_EQ(ReserveTransfer(k, *sim.boot_thread(), sim.battery_reserve_id(), r,
-                            ToQuantity(Energy::Joules(10.0))),
-            Status::kOk);
-  k.LookupTyped<Thread>(proc.thread)->set_active_reserve(r);
-  sim.AttachBody(proc.thread, std::make_unique<SpinBody>());
+  for (int i = 0; i < 8; ++i) {
+    auto proc = sim.CreateProcess("spin" + std::to_string(i));
+    ObjectId r =
+        ReserveCreate(k, *sim.boot_thread(), proc.container, Label(Level::k1), "r").value();
+    if (i == 0) {
+      ASSERT_EQ(ReserveTransfer(k, *sim.boot_thread(), sim.battery_reserve_id(), r,
+                                ToQuantity(Energy::Joules(10.0))),
+                Status::kOk);
+    }
+    k.LookupTyped<Thread>(proc.thread)->set_active_reserve(r);
+    sim.AttachBody(proc.thread, std::make_unique<SpinBody>());
+  }
   sim.Run(Duration::Seconds(2));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
