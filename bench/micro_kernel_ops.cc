@@ -208,6 +208,47 @@ BENCHMARK(BM_TapBatchSharded)
     ->Args({32768, 2})
     ->Args({32768, 4});
 
+// The per-shard fixed cost at fleet scale: `phones` phones in the
+// examples/fleet shape (a seeded pool feeding a constant foreground and a
+// proportional background reserve, plus a backward tap), so every phone is
+// its own three-tap shard, with decay leaking to each phone's own pool
+// (to_shard_root) and telemetry off. One 10 ms batch per iteration.
+// workers=0 runs the sharded engine serially in the caller.
+void BM_TapBatchFleet(benchmark::State& state) {
+  const int phones = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  Kernel k;
+  Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
+  battery->set_decay_exempt(true);
+  TapEngine engine(&k, battery->id());
+  engine.decay().enabled = true;
+  engine.decay().half_life = Duration::Minutes(2);
+  engine.decay().to_shard_root = true;
+  ShardExecutor exec(workers > 0 ? workers : 1);
+  engine.EnableSharding(workers > 0 ? &exec : nullptr);
+  const ObjectId root = k.root_container_id();
+  for (int p = 0; p < phones; ++p) {
+    Reserve* pool = k.Create<Reserve>(root, Label(Level::k1), "pool");
+    pool->Deposit(ToQuantity(Energy::Joules(200.0 + (p % 7) * 25.0)));
+    Reserve* fg = k.Create<Reserve>(root, Label(Level::k1), "fg");
+    Reserve* bg = k.Create<Reserve>(root, Label(Level::k1), "bg");
+    Tap* feed_fg = k.Create<Tap>(root, Label(Level::k1), "feed_fg", pool->id(), fg->id());
+    feed_fg->SetConstantPower(Power::Milliwatts(200 + (p % 5) * 60));
+    engine.Register(feed_fg->id());
+    Tap* feed_bg = k.Create<Tap>(root, Label(Level::k1), "feed_bg", pool->id(), bg->id());
+    feed_bg->SetProportionalRate(0.002 + 0.0005 * (p % 4));
+    engine.Register(feed_bg->id());
+    Tap* back = k.Create<Tap>(root, Label(Level::k1), "back", fg->id(), pool->id());
+    back->SetProportionalRate(0.1);
+    engine.Register(back->id());
+  }
+  for (auto _ : state) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  state.SetItemsProcessed(state.iterations() * phones);
+}
+BENCHMARK(BM_TapBatchFleet)->ArgNames({"phones", "workers"})->Args({2000, 0})->Args({2000, 4});
+
 // The intra-shard range split on a giant single component: one pool fans out
 // to `n_taps` sinks, so shard-level parallelism has exactly one shard to
 // offer and all scaling must come from splitting its plan into ranges.

@@ -10,7 +10,9 @@
 # --compare mode additionally diffs the fresh results against BASELINE.json
 # (bench/compare_bench.py) and exits non-zero if any gated benchmark
 # (BM_TapBatch/512, BM_TapBatch/32768, BM_TapBatchTelemetry/32768,
-# BM_DecaySparse/{4096,32768}, the giant-component worker-scaling cases
+# BM_TapBatchFleet/phones:2000 at 0 and 4 workers — the per-shard fixed
+# cost at fleet scale — BM_DecaySparse/{4096,32768}, the giant-component
+# worker-scaling cases
 # BM_TapBatchGiant/taps:32768 at 1/2/4 workers, the chain-cutting cases
 # BM_TapBatchChain/depth:{1024,8192} at 1/4 workers, and the scheduler-plan
 # cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64} +
@@ -104,6 +106,8 @@ if [[ -n "$baseline" ]]; then
     --gate 'BM_TapBatch/32768' \
     --gate 'BM_TapBatchTelemetry/32768' \
     --gate 'BM_TapBatchStreaming/32768' \
+    --gate 'BM_TapBatchFleet/phones:2000/workers:0' \
+    --gate 'BM_TapBatchFleet/phones:2000/workers:4' \
     --gate 'BM_DecaySparse/4096' \
     --gate 'BM_DecaySparse/32768' \
     --gate 'BM_TapBatchGiant/taps:32768/workers:1' \

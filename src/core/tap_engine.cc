@@ -154,21 +154,48 @@ void TapEngine::RebuildPlan() {
     num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
   }
   const bool multi = sharding_ && num_shards_ > 1;
+
+  // ---- Plan entries per shard (an entry belongs to its source's shard),
+  // then the work units built from those counts.
+  const auto n = static_cast<uint32_t>(resolved_.size());
+  shard_plan_begin_.assign(num_shards_ + 1, 0);
+  if (multi) {
+    entry_shard_.resize(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint32_t s = partitioner_->ShardOfReserve(resolved_[i].src->id());
+      if (s == ShardLayout::kNoShard) {
+        s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
+      }
+      entry_shard_[i] = s;
+      ++shard_plan_begin_[s + 1];
+    }
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      shard_plan_begin_[s + 1] += shard_plan_begin_[s];
+    }
+  } else {
+    shard_plan_begin_[1] = n;
+  }
+  BuildUnits();
+  const uint32_t num_units = unit_count();
+
+  // Slices are padded at unit starts only: one thread writes a whole unit,
+  // so only concurrent units must not share a cache line.
+  const bool padded = num_units > 1;
   constexpr uint32_t kAlign = 64 / sizeof(double);  // Per-entry slots per cache line.
-  auto pad = [multi](uint32_t v) {
-    return multi ? (v + kAlign - 1) / kAlign * kAlign : v;
+  auto pad = [padded](uint32_t v) {
+    return padded ? (v + kAlign - 1) / kAlign * kAlign : v;
   };
   // Reserve slots pad to a full 64: the bank's flags array is one byte per
   // slot and its decay-list bits are written from worker threads, so only a
-  // 64-slot boundary keeps adjacent shards' flag slices off a shared line
+  // 64-slot boundary keeps adjacent units' flag slices off a shared line
   // (the 8-byte arrays get 512-byte alignment for free).
   constexpr uint32_t kSlotAlign = 64;
-  auto pad_slots = [multi](uint32_t v) {
-    return multi ? (v + kSlotAlign - 1) / kSlotAlign * kSlotAlign : v;
+  auto pad_slots = [padded](uint32_t v) {
+    return padded ? (v + kSlotAlign - 1) / kSlotAlign * kSlotAlign : v;
   };
 
   // ---- Reserve slot assignment: shard-major, id order within a shard, each
-  // shard's slice starting cache-line aligned (like group_demand_). Reserves
+  // unit's slice starting cache-line aligned (like group_demand_). Reserves
   // no tap touches get kNoShard from the partitioner and are spread
   // round-robin (in id order, so deterministically).
   const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
@@ -199,10 +226,12 @@ void TapEngine::RebuildPlan() {
   }
   shard_slot_begin_.assign(num_shards_ + 1, 0);
   uint32_t next_slot = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
+  for (uint32_t u = 0; u < num_units; ++u) {
     next_slot = pad_slots(next_slot);
-    shard_slot_begin_[s] = next_slot;
-    next_slot += slot_count[s];
+    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
+      shard_slot_begin_[s] = next_slot;
+      next_slot += slot_count[s];
+    }
   }
   shard_slot_begin_[num_shards_] = next_slot;
   rbank_.Reset(next_slot);
@@ -258,21 +287,7 @@ void TapEngine::RebuildPlan() {
 
   // ---- Plan entries: counting sort into shard-major order, stable so each
   // shard keeps tap-id order (the order the unsharded engine flows in).
-  const auto n = static_cast<uint32_t>(resolved_.size());
   if (multi) {
-    entry_shard_.resize(n);
-    shard_plan_begin_.assign(num_shards_ + 1, 0);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t s = partitioner_->ShardOfReserve(resolved_[i].src->id());
-      if (s == ShardLayout::kNoShard) {
-        s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
-      }
-      entry_shard_[i] = s;
-      ++shard_plan_begin_[s + 1];
-    }
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      shard_plan_begin_[s + 1] += shard_plan_begin_[s];
-    }
     sorted_resolved_.resize(n);
     std::vector<uint32_t> entry_cursor(shard_plan_begin_.begin(), shard_plan_begin_.end() - 1);
     for (uint32_t i = 0; i < n; ++i) {
@@ -282,30 +297,30 @@ void TapEngine::RebuildPlan() {
     // Keep the capacity for the next rebuild but drop the stale entries: raw
     // Tap*/Reserve* pointers must not outlive their objects.
     sorted_resolved_.clear();
-  } else {
-    shard_plan_begin_.assign({0, n});
   }
 
   // Padded per-entry index ranges: the mutable per-entry arrays (want_, tap
   // carry/transferred/rate/flags) use ti = shard_want_begin_[s] + (i -
-  // shard_plan_begin_[s]) so each shard's slice starts on a cache line; the
+  // shard_plan_begin_[s]) so each unit's slice starts on a cache line; the
   // dense plan arrays stay compact.
   shard_want_begin_.assign(num_shards_ + 1, 0);
   uint32_t next_want = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
+  for (uint32_t u = 0; u < num_units; ++u) {
     next_want = pad(next_want);
-    shard_want_begin_[s] = next_want;
-    next_want += shard_plan_begin_[s + 1] - shard_plan_begin_[s];
+    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
+      shard_want_begin_[s] = next_want;
+      next_want += shard_plan_begin_[s + 1] - shard_plan_begin_[s];
+    }
   }
   shard_want_begin_[num_shards_] = next_want;
   want_base_ = bank_internal::Align64(want_, next_want);
   tbank_.Reset(next_want);
 
   // Demand groups (taps sharing a source reserve), numbered contiguously per
-  // shard so each shard owns a disjoint slice of group_demand_; slices are
-  // padded to cache-line boundaries like the slot and want slices. Padding
-  // slots belong to the preceding shard (its fill covers them) and no group
-  // index ever points at one.
+  // shard so each shard owns a disjoint slice of group_demand_; unit slices
+  // are padded to cache-line boundaries like the slot and want slices.
+  // Padding slots belong to the preceding shard (its fill covers them) and
+  // no group index ever points at one.
   shard_group_begin_.assign(num_shards_ + 1, 0);
   shard_group_count_.assign(num_shards_, 0);
   plan_src_.assign(n, 0);
@@ -313,23 +328,25 @@ void TapEngine::RebuildPlan() {
   plan_group_.assign(n, 0);
   std::unordered_map<ObjectId, uint32_t> source_group;
   uint32_t next_group = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
+  for (uint32_t u = 0; u < num_units; ++u) {
     next_group = pad(next_group);
-    shard_group_begin_[s] = next_group;
-    source_group.clear();
-    for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
-      const ResolvedTap& e = resolved_[i];
-      auto [it, inserted] = source_group.emplace(e.tap->source(), next_group);
-      if (inserted) {
-        ++next_group;
+    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
+      shard_group_begin_[s] = next_group;
+      source_group.clear();
+      for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
+        const ResolvedTap& e = resolved_[i];
+        auto [it, inserted] = source_group.emplace(e.tap->source(), next_group);
+        if (inserted) {
+          ++next_group;
+        }
+        plan_group_[i] = it->second;
+        plan_src_[i] = e.src->bank_slot();
+        plan_dst_[i] = e.dst->bank_slot();
+        const uint32_t ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]);
+        e.tap->AttachBank(&tbank_, ti, kernel_->HandleOf(e.tap->id()));
       }
-      plan_group_[i] = it->second;
-      plan_src_[i] = e.src->bank_slot();
-      plan_dst_[i] = e.dst->bank_slot();
-      const uint32_t ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]);
-      e.tap->AttachBank(&tbank_, ti, kernel_->HandleOf(e.tap->id()));
+      shard_group_count_[s] = next_group - shard_group_begin_[s];
     }
-    shard_group_count_[s] = next_group - shard_group_begin_[s];
   }
   shard_group_begin_[num_shards_] = next_group;
   group_base_ = bank_internal::Align64(group_demand_, next_group);
@@ -351,16 +368,9 @@ void TapEngine::RebuildPlan() {
     stats_[s].taps = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
     stats_[s].decay_reserves = assigned[s];
   }
-  // Largest shards first: the executor starts the big components immediately
-  // so one giant shard never serializes the tail of a batch. Stable on tap
-  // count, so the order (and everything else) is deterministic.
-  shard_order_.resize(num_shards_);
-  std::iota(shard_order_.begin(), shard_order_.end(), 0u);
-  std::stable_sort(shard_order_.begin(), shard_order_.end(),
-                   [this](uint32_t a, uint32_t b) { return stats_[a].taps > stats_[b].taps; });
-
   BuildCutPlan();
   BuildSplitPlan();
+  BuildTicketTables();
 
   if (telem_ != nullptr && telem_->enabled()) {
     EmitPlanRecords();
@@ -381,48 +391,82 @@ void TapEngine::RebuildPlan() {
   plan_valid_ = true;
 }
 
+void TapEngine::BuildUnits() {
+  unit_shard_begin_.assign(1, 0);
+  if (num_shards_ > 1) {
+    // Consecutive shards in index order, closing a unit once it holds
+    // kUnitEntries of plan entries plus reserves. The counts are the
+    // partitioner's component sizes — topology-stable, so a label flap that
+    // hides a few taps cannot move unit boundaries (or the padding) between
+    // rebuilds. Shards that run their own tickets — range-split candidates
+    // and members of a cut component (a parent with two or more member
+    // shards) — and shards that reach the threshold alone are units of one.
+    const ShardLayout& layout = partitioner_->layout();
+    std::vector<uint32_t> parent_members(layout.num_parents, 0);
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      ++parent_members[layout.shard_parent[s]];
+    }
+    uint32_t weight = 0;
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      const uint32_t w = layout.shard_edges[s] + layout.shard_reserves[s];
+      const uint32_t entries = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
+      if (w >= kUnitEntries || parent_members[layout.shard_parent[s]] > 1 ||
+          SplitCandidate(s, entries)) {
+        if (unit_shard_begin_.back() != s) {
+          unit_shard_begin_.push_back(s);  // Close the open unit first.
+        }
+        unit_shard_begin_.push_back(s + 1);
+        weight = 0;
+        continue;
+      }
+      weight += w;
+      if (weight >= kUnitEntries) {
+        unit_shard_begin_.push_back(s + 1);
+        weight = 0;
+      }
+    }
+  }
+  if (unit_shard_begin_.back() != num_shards_) {
+    unit_shard_begin_.push_back(num_shards_);
+  }
+}
+
+bool TapEngine::SplitCandidate(uint32_t s, uint32_t entries) const {
+  if (!sharding_ || split_.min_entries == 0 || split_.ranges < 2 || entries < 2) {
+    return false;
+  }
+  // Size by the larger of the partitioner's component edge count and the
+  // live plan section: the edge count is topology-stable, so a label flap
+  // that hides a few taps cannot flip a component in and out of splitting
+  // between rebuilds.
+  uint32_t size = entries;
+  const ShardLayout& layout = partitioner_->layout();
+  if (partitioner_->valid() && s < layout.shard_edges.size() && layout.shard_edges[s] > size) {
+    size = layout.shard_edges[s];
+  }
+  return size >= split_.min_entries;
+}
+
 void TapEngine::BuildSplitPlan() {
   const auto n = static_cast<uint32_t>(plan_src_.size());
   split_of_shard_.assign(num_shards_, kNoSplit);
   split_shards_.clear();
-  tickets_pass1_.clear();
-  tickets_pass2_.clear();
   split_k_ = split_.ranges;
-  const bool enabled = sharding_ && split_.min_entries > 0 && split_.ranges >= 2;
-  if (enabled) {
-    const ShardLayout& layout = partitioner_->layout();
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      // Members of a cut parent never range-split: the cut threshold already
-      // bounds their plan sections, and their two passes must run as whole
-      // phases so the boundary settlement sits between them.
-      if (shard_cut_parent_[s] != kNoCut) {
-        continue;
-      }
-      const uint32_t entries = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-      // Size by the larger of the partitioner's component edge count and the
-      // live plan section: the edge count is topology-stable, so a label
-      // flap that hides a few taps cannot flip a component in and out of
-      // splitting between rebuilds.
-      uint32_t size = entries;
-      if (partitioner_->valid() && s < layout.shard_edges.size() && layout.shard_edges[s] > size) {
-        size = layout.shard_edges[s];
-      }
-      if (entries >= 2 && size >= split_.min_entries) {
-        split_of_shard_[s] = static_cast<uint32_t>(split_shards_.size());
-        split_shards_.push_back(s);
-      }
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    // Members of a cut parent never range-split: the cut threshold already
+    // bounds their plan sections, and their two passes must run as whole
+    // phases so the boundary settlement sits between them.
+    if (shard_cut_parent_[s] == kNoCut &&
+        SplitCandidate(s, shard_plan_begin_[s + 1] - shard_plan_begin_[s])) {
+      split_of_shard_[s] = static_cast<uint32_t>(split_shards_.size());
+      split_shards_.push_back(s);
     }
   }
   const auto nu = static_cast<uint32_t>(split_shards_.size());
   if (nu == 0) {
     // Nothing splits this epoch: none of the range machinery below is
-    // allocated or touched. With live cuts the two-phase pipeline still
-    // needs its ticket tables (cut members run kCutPass1/kCutPass2);
-    // otherwise RunBatch keeps the plain per-shard dispatch.
+    // allocated or touched.
     lanes_.Clear();
-    if (!cuts_.empty()) {
-      BuildTicketTables();
-    }
     return;
   }
 
@@ -525,38 +569,51 @@ void TapEngine::BuildSplitPlan() {
   range_group_begin_[static_cast<size_t>(nu) * k] =
       static_cast<uint32_t>(range_group_ids_.size());
   lanes_.Reset(next_lane);
-
-  BuildTicketTables();
 }
 
 void TapEngine::BuildTicketTables() {
-  // Ticket tables. Pass 1 covers every shard — range tickets for split
-  // shards, whole-sub-shard kCutPass1 tickets for cut members, one
-  // whole-shard ticket otherwise — in the largest-first shard order; pass 2
-  // is the split shards' ranges plus the cut members' kCutPass2 tickets.
-  // Empty tail ranges (entries < k) get no tickets.
+  // Units largest first (plan entries plus decay-wired reserves, stable on
+  // unit index, so the order is deterministic): the executor starts the big
+  // units immediately so one giant component never serializes the tail of
+  // a batch. Pass 1 covers every shard — one ticket per plain unit, range
+  // tickets for a split shard, kCutPass1 for a cut member — and pass 2 is
+  // the split shards' ranges plus the cut members' kCutPass2 tickets. Empty
+  // tail ranges (entries < k) get no tickets.
+  tickets_pass1_.clear();
+  tickets_pass2_.clear();
+  const uint32_t nu = unit_count();
+  std::vector<uint64_t> unit_size(nu, 0);
+  for (uint32_t u = 0; u < nu; ++u) {
+    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
+      unit_size[u] += stats_[s].taps + stats_[s].decay_reserves;
+    }
+  }
+  std::vector<uint32_t> order(nu);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return unit_size[a] > unit_size[b]; });
   const uint32_t k = split_k_;
-  for (const uint32_t s : shard_order_) {
-    const uint32_t u = split_of_shard_[s];
-    if (u == kNoSplit) {
-      if (shard_cut_parent_[s] != kNoCut) {
-        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass1});
-        tickets_pass2_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass2});
-      } else {
-        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard});
+  for (const uint32_t u : order) {
+    const uint32_t s = unit_shard_begin_[u];
+    const uint32_t count = unit_shard_begin_[u + 1] - s;
+    const uint32_t split = split_of_shard_[s];
+    if (count == 1 && shard_cut_parent_[s] != kNoCut) {
+      tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass1});
+      tickets_pass2_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass2});
+    } else if (count == 1 && split != kNoSplit) {
+      const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (k + 1);
+      uint32_t nonempty = 0;
+      for (uint32_t r = 0; r < k; ++r) {
+        if (bounds[r + 1] > bounds[r]) {
+          ++nonempty;
+          tickets_pass1_.push_back(ShardTicket{s, split, r, ShardTicketKind::kPass1Range});
+          tickets_pass2_.push_back(ShardTicket{s, split, r, ShardTicketKind::kPass2Range});
+        }
       }
-      continue;
+      stats_[s].ranges = nonempty;
+    } else {
+      tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kUnit, count});
     }
-    const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(u) * (k + 1);
-    uint32_t nonempty = 0;
-    for (uint32_t r = 0; r < k; ++r) {
-      if (bounds[r + 1] > bounds[r]) {
-        ++nonempty;
-        tickets_pass1_.push_back(ShardTicket{s, u, r, ShardTicketKind::kPass1Range});
-        tickets_pass2_.push_back(ShardTicket{s, u, r, ShardTicketKind::kPass2Range});
-      }
-    }
-    stats_[s].ranges = nonempty;
   }
 }
 
@@ -757,10 +814,35 @@ void TapEngine::BuildCutPlan() {
 }
 
 void TapEngine::EmitPlanRecords() {
-  // Rebuild-time, main thread: size one writer ring per pool slot (the caller
-  // is slot 0) and dump the plan tables straight into the spill — they scale
-  // with the plan, not with any ring's capacity.
-  telem_->EnsureWriters(executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1);
+  // Rebuild-time, main thread: one writer ring per pool slot (the caller is
+  // slot 0), each grown by every record this plan can emit in one batch —
+  // any one worker may run every ticket, so no batch can overwrite a record.
+  // Only the enabled kinds count: per shard a kShardBatch and up to two
+  // decay-leak deposits (its sink's and its strays' battery deposit), per
+  // ticket a kDispatch and a timing record, per cut parent a
+  // kBoundarySettle. The opt-in per-tap and per-reserve kinds are not
+  // budgeted.
+  const auto tickets = static_cast<uint32_t>(tickets_pass1_.size() + tickets_pass2_.size());
+  uint32_t batch_records = 0;
+  if (telem_->on(RecordKind::kShardBatch)) {
+    batch_records += num_shards_;
+  }
+  if (telem_->on(RecordKind::kReserveDeposit)) {
+    batch_records += 2 * num_shards_;
+  }
+  if (telem_->on(RecordKind::kDispatch)) {
+    batch_records += tickets;
+  }
+  if (telem_->on(RecordKind::kShardTiming) || telem_->on(RecordKind::kRangeTiming)) {
+    batch_records += tickets;
+  }
+  if (telem_->on(RecordKind::kBoundarySettle)) {
+    batch_records += cut_parent_count();
+  }
+  telem_->EnsureWriters(
+      executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1, batch_records);
+  // The plan tables go straight into the spill — they scale with the plan,
+  // not with any ring's capacity.
   for (uint32_t s = 0; s < num_shards_; ++s) {
     telem_->EmitSpill(RecordKind::kPlanShard, s, static_cast<uint16_t>(stats_[s].ranges), 0,
                       stats_[s].taps, stats_[s].decay_reserves);
@@ -817,8 +899,8 @@ void TapEngine::RunBatch(Duration dt) {
       kernel_->NoteReserveOp();
     }
   };
-  // Publish the batch-wide constants, then run every shard — concurrently on
-  // the executor when one is attached, serially in plan order otherwise.
+  // Publish the batch-wide constants, then run every ticket — concurrently on
+  // the executor when one is attached, serially in table order otherwise.
   // Shards touch disjoint reserves/taps, so scheduling cannot change results.
   batch_dt_s_ = dt.seconds_f();
   // Leak fraction for this interval: 1 - 2^(-dt / half_life). The exp2 is
@@ -839,109 +921,42 @@ void TapEngine::RunBatch(Duration dt) {
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
   telem_boundary_ = (tmask & RecordBit(RecordKind::kBoundarySettle)) != 0;
-  // Single-shard fast path: with one shard and no split there is nothing to
-  // dispatch or merge — run the passes inline and apply totals and the sink
-  // deposit directly, skipping the busy scan, the scratch write, and the
-  // merge loop. Exactly the work the general path does for one shard, minus
-  // its fixed cost (the BM_TapBatchWithDecay/8 tail in docs/PERFORMANCE.md).
   if (num_shards_ == 1 && split_shards_.empty()) {
+    // One-shard plan (the unsharded engine, a one-component fleet): its one
+    // unit inline, without the ticket loop and the scratch round trip. The
+    // same work as the general path, whose fixed cost is 18–70% of
+    // BM_TapBatchWithDecay/8 (docs/PERFORMANCE.md, "What units replaced").
     const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
     const Quantity flow = RunShardTaps(0);
-    total_tap_flow_ += flow;
-    stats_[0].tap_flow += flow;
-    Quantity decay_flow = 0;
-    if (decay_.enabled) {
-      const DecayResult dr = DecayShard(0);
-      decay_flow = dr.flow;
-      total_decay_flow_ += dr.flow;
-      stats_[0].decay_flow += dr.flow;
-      Reserve* battery = battery_cache_;
-      if (dr.leak > 0) {
-        Reserve* sink = decay_to_root_ ? shard_sink_[0] : battery;
-        if (sink == nullptr) {
-          sink = battery;
-        }
-        if (sink != nullptr) {
-          sink->Deposit(dr.leak);
-          if (telem_reserve_ops_) {
-            EmitSinkDeposit(sink, dr.leak);
-          }
-        }
-      }
-      if (dr.stray > 0 && battery != nullptr) {
-        battery->Deposit(dr.stray);
-        if (telem_reserve_ops_) {
-          EmitSinkDeposit(battery, dr.stray);
-        }
-      }
-    }
+    const DecayResult dr = decay_.enabled ? DecayShard(0) : DecayResult{};
     if (telem_shard_batch_ || telem_shard_timing_) {
-      if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-        const int64_t now = telem_->time_us();
-        if (telem_shard_batch_) {
-          ring->Emit(now, RecordKind::kShardBatch, 0, 0, 0, flow, decay_flow);
-        }
-        if (telem_shard_timing_) {
-          ring->Emit(now, RecordKind::kShardTiming, 0,
-                     static_cast<uint16_t>(ShardExecutor::current_worker_slot()), 0,
-                     NowNs() - t0, 0);
-        }
-      }
+      scratch_[0] = ShardScratch{flow, dr};
+      EmitUnitRecords(0, 1, t0);
     }
+    MergeShard(0, flow, dr);
     if (telem_on_) {
       telem_->FlushFrame();
     }
     note_if_flow_moved();
     return;
   }
-  // Degenerate-dispatch fast path: waking the pool costs two notify/wait
-  // handshakes per phase, pure loss unless at least two busy work items can
-  // overlap. Count runnable items (a shard with plan entries or a non-empty
-  // decay list; a split shard counts its ranges) and short-circuit at two —
-  // a busy fleet exits this scan after a couple of shards, while a
-  // single-small-shard epoch (BM_TapBatchWithDecay-sized) runs serially with
-  // no executor round-trip at all. Results never depend on the choice.
-  bool use_pool = executor_ != nullptr && executor_->workers() > 1;
-  if (use_pool) {
-    uint32_t busy = 0;
-    for (uint32_t s = 0; s < num_shards_ && busy < 2; ++s) {
-      if (stats_[s].taps == 0 && decay_active_[s].empty()) {
-        continue;
-      }
-      busy += split_of_shard_[s] == kNoSplit ? 1 : stats_[s].ranges;
-    }
-    use_pool = busy >= 2;
-  }
-  if (split_shards_.empty() && cuts_.empty()) {
-    if (use_pool && num_shards_ > 1) {
-      executor_->Run(this, num_shards_, shard_order_.data());
-    } else {
-      for (uint32_t s = 0; s < num_shards_; ++s) {
-        RunShard(s);
-      }
-    }
-  } else {
+  // Phase A runs every pass-1 ticket: one per work unit (its shards' full
+  // batches), plus the demand passes of split shards' ranges and cut
+  // members. The pool wakes only for a batch of two or more tickets; a
+  // one-ticket batch runs inline with no executor round-trip at all.
+  RunPhase(tickets_pass1_);
+  if (!split_shards_.empty() || !cuts_.empty()) {
     // Two-phase pipeline (range splits and articulation cuts share it).
-    // Phase A: every shard's pass 1 (whole-shard tickets run their full
-    // batch; split shards run per-range demand passes into private lanes;
-    // cut members run their whole demand pass). Serial reduce/classify:
-    // fold split lanes in range order into the canonical per-group demand,
-    // classify each split group, and arm the fused fallback for any cut
-    // parent whose boundary deferral is not provably invisible. Phase B:
-    // the split shards' unconstrained entries and the cut members' transfer
-    // passes (boundary entries drain into lanes), racing only on
-    // shard/range-exclusive state. Serial finalize: split deferred effects,
-    // the boundary settlement in fixed cut order, and the decay slices —
-    // all in fixed shard/range/cut order. The reduction and settlement
-    // orders, not the ticket interleaving, define every result bit.
-    const auto n1 = static_cast<uint32_t>(tickets_pass1_.size());
-    if (use_pool && n1 > 1) {
-      executor_->RunTickets(this, tickets_pass1_.data(), n1);
-    } else {
-      for (const ShardTicket& t : tickets_pass1_) {
-        RunTicket(t);
-      }
-    }
+    // Serial reduce/classify: fold split lanes in range order into the
+    // canonical per-group demand, classify each split group, and arm the
+    // fused fallback for any cut parent whose boundary deferral is not
+    // provably invisible. Phase B: the split shards' unconstrained entries
+    // and the cut members' transfer passes (boundary entries drain into
+    // lanes), racing only on shard/range-exclusive state. Serial finalize:
+    // split deferred effects, the boundary settlement in fixed cut order,
+    // and the decay slices — all in fixed shard/range/cut order. The
+    // reduction and settlement orders, not the ticket interleaving, define
+    // every result bit.
     const auto nu = static_cast<uint32_t>(split_shards_.size());
     for (uint32_t u = 0; u < nu; ++u) {
       ReduceSplitDemand(u);
@@ -949,14 +964,7 @@ void TapEngine::RunBatch(Duration dt) {
     if (!cuts_.empty()) {
       ClassifyCutParents();
     }
-    const auto n2 = static_cast<uint32_t>(tickets_pass2_.size());
-    if (use_pool && n2 > 1) {
-      executor_->RunTickets(this, tickets_pass2_.data(), n2);
-    } else {
-      for (const ShardTicket& t : tickets_pass2_) {
-        RunTicket(t);
-      }
-    }
+    RunPhase(tickets_pass2_);
     for (uint32_t u = 0; u < nu; ++u) {
       FinalizeSplitShard(u);
     }
@@ -970,31 +978,8 @@ void TapEngine::RunBatch(Duration dt) {
   // here is what keeps the sink's shard race-free — and it exactly matches
   // the unsharded engine, where every tap reads the battery before the decay
   // pass touches it.
-  Reserve* battery = battery_cache_;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    const ShardScratch& sc = scratch_[s];
-    total_tap_flow_ += sc.tap_flow;
-    total_decay_flow_ += sc.decay_flow;
-    stats_[s].tap_flow += sc.tap_flow;
-    stats_[s].decay_flow += sc.decay_flow;
-    if (sc.decay_leak > 0) {
-      Reserve* sink = decay_to_root_ ? shard_sink_[s] : battery;
-      if (sink == nullptr) {
-        sink = battery;
-      }
-      if (sink != nullptr) {
-        sink->Deposit(sc.decay_leak);
-        if (telem_reserve_ops_) {
-          EmitSinkDeposit(sink, sc.decay_leak);
-        }
-      }
-    }
-    if (sc.decay_stray > 0 && battery != nullptr) {
-      battery->Deposit(sc.decay_stray);
-      if (telem_reserve_ops_) {
-        EmitSinkDeposit(battery, sc.decay_stray);
-      }
-    }
+    MergeShard(s, scratch_[s].tap_flow, scratch_[s].decay);
   }
   // One frame per batch: drain every worker ring into the spill (we are past
   // the executor's happens-before edge) and stamp the mark.
@@ -1004,30 +989,73 @@ void TapEngine::RunBatch(Duration dt) {
   note_if_flow_moved();
 }
 
-void TapEngine::RunShard(uint32_t shard) {
+void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
+  if (executor_ != nullptr) {
+    executor_->RunTickets(this, tickets.data(), static_cast<uint32_t>(tickets.size()));
+    return;
+  }
+  for (const ShardTicket& t : tickets) {
+    RunTicket(t);
+  }
+}
+
+void TapEngine::RunUnit(uint32_t first, uint32_t count) {
   const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-  ShardScratch& sc = scratch_[shard];
-  sc = ShardScratch{};
-  sc.tap_flow = RunShardTaps(shard);
-  if (decay_.enabled) {
-    const DecayResult dr = DecayShard(shard);
-    sc.decay_flow = dr.flow;
-    sc.decay_leak = dr.leak;
-    sc.decay_stray = dr.stray;
+  for (uint32_t shard = first; shard < first + count; ++shard) {
+    ShardScratch& sc = scratch_[shard];
+    sc.tap_flow = RunShardTaps(shard);
+    sc.decay = decay_.enabled ? DecayShard(shard) : DecayResult{};
   }
   if (telem_shard_batch_ || telem_shard_timing_) {
-    // This worker's own ring (single-writer); null when the domain has no
-    // ring for the slot — then the records are skipped, never misfiled.
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      const int64_t now = telem_->time_us();
-      if (telem_shard_batch_) {
-        ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow, sc.decay_flow);
+    EmitUnitRecords(first, count, t0);
+  }
+}
+
+void TapEngine::EmitUnitRecords(uint32_t first, uint32_t count, int64_t t0) {
+  // This worker's own ring (single-writer); null when the domain has no
+  // ring for the slot — then the records are skipped, never misfiled.
+  const uint32_t slot = ShardExecutor::current_worker_slot();
+  TraceRing* const ring = telem_->ring(slot);
+  if (ring == nullptr) {
+    return;
+  }
+  const int64_t now = telem_->time_us();
+  if (telem_shard_batch_) {
+    for (uint32_t shard = first; shard < first + count; ++shard) {
+      ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, scratch_[shard].tap_flow,
+                 scratch_[shard].decay.flow);
+    }
+  }
+  if (telem_shard_timing_) {
+    ring->Emit(now, RecordKind::kShardTiming, first, static_cast<uint16_t>(slot), 0,
+               NowNs() - t0, count);
+  }
+}
+
+inline void TapEngine::MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay) {
+  total_tap_flow_ += tap_flow;
+  total_decay_flow_ += decay.flow;
+  stats_[shard].tap_flow += tap_flow;
+  stats_[shard].decay_flow += decay.flow;
+  // The leakage goes to the battery root, or to the shard root when
+  // decay_to_shard_root is on; strays' leakage always to the battery.
+  Reserve* const battery = battery_cache_;
+  if (decay.leak > 0) {
+    Reserve* sink = decay_to_root_ ? shard_sink_[shard] : battery;
+    if (sink == nullptr) {
+      sink = battery;
+    }
+    if (sink != nullptr) {
+      sink->Deposit(decay.leak);
+      if (telem_reserve_ops_) {
+        EmitSinkDeposit(sink, decay.leak);
       }
-      if (telem_shard_timing_) {
-        ring->Emit(now, RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot), 0,
-                   NowNs() - t0, 0);
-      }
+    }
+  }
+  if (decay.stray > 0 && battery != nullptr) {
+    battery->Deposit(decay.stray);
+    if (telem_reserve_ops_) {
+      EmitSinkDeposit(battery, decay.stray);
     }
   }
 }
@@ -1131,8 +1159,8 @@ Quantity TapEngine::RunShardTaps(uint32_t shard) {
 
 void TapEngine::RunTicket(const ShardTicket& t) {
   switch (t.kind) {
-    case ShardTicketKind::kWholeShard:
-      RunShard(t.shard);
+    case ShardTicketKind::kUnit:
+      RunUnit(t.shard, t.shards);
       break;
     case ShardTicketKind::kPass1Range:
       RunPass1Range(t.split, t.range);
@@ -1150,7 +1178,7 @@ void TapEngine::RunTicket(const ShardTicket& t) {
 }
 
 void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
-  // Pass 1 of RunShard over one contiguous plan-entry range, demand
+  // Pass 1 of RunShardTaps over one contiguous plan-entry range, demand
   // accumulated into the range's private lane slice instead of the shard's
   // group_base_. Reads reserve levels (frozen until pass 2) and tap state,
   // writes only this range's slice of want_/lanes — any interleaving with
@@ -1287,7 +1315,7 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
     } else {
       // This range is the slot's only writer this phase (its flag byte
       // included), so the deposit and the empty -> non-empty decay re-add
-      // check mirror RunShard's directly; the re-add itself is deferred
+      // check mirror RunShardTaps' directly; the re-add itself is deferred
       // because the shard's skip-list is shared across ranges.
       const Quantity dst_level = lvl[d];
       lvl[d] = dst_level + whole;
@@ -1367,7 +1395,7 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
       }
     }
   }
-  // The constrained tail, in plan (tap-id) order with RunShard's exact pass-2
+  // The constrained tail, in plan (tap-id) order with RunShardTaps' exact pass-2
   // body — running demand decrement, proportional scale, source clamp —
   // against the range-order-reduced group totals. Skipped entirely when the
   // classification found every group unconstrained (the common giant-fan-out
@@ -1431,17 +1459,14 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
   ShardScratch& sc = scratch_[shard];
   sc.tap_flow = flow;
   if (decay_.enabled) {
-    const DecayResult dr = DecayShard(shard);
-    sc.decay_flow = dr.flow;
-    sc.decay_leak = dr.leak;
-    sc.decay_stray = dr.stray;
+    sc.decay = DecayShard(shard);
   }
   // Split shards' per-range work is covered by kRangeTiming; the batch record
   // itself is written here, on the (serial) finalize thread.
   if (telem_shard_batch_) {
     if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
       ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow,
-                 sc.decay_flow);
+                 sc.decay.flow);
     }
   }
 }
@@ -1598,7 +1623,7 @@ void TapEngine::RunCutPass2(uint32_t shard) {
     const uint32_t slot = ShardExecutor::current_worker_slot();
     if (TraceRing* ring = telem_->ring(slot)) {
       ring->Emit(telem_->time_us(), RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot),
-                 0, NowNs() - t0, 0);
+                 0, NowNs() - t0, 1);
     }
   }
 }
@@ -1712,15 +1737,12 @@ void TapEngine::SettleCutParents() {
       const uint32_t s = parent_shards_[j];
       ShardScratch& sc = scratch_[s];
       if (decay_.enabled) {
-        const DecayResult dr = DecayShard(s);
-        sc.decay_flow = dr.flow;
-        sc.decay_leak = dr.leak;
-        sc.decay_stray = dr.stray;
+        sc.decay = DecayShard(s);
       }
       if (telem_shard_batch_) {
         if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
           ring->Emit(telem_->time_us(), RecordKind::kShardBatch, s, 0, 0, sc.tap_flow,
-                     sc.decay_flow);
+                     sc.decay.flow);
         }
       }
     }

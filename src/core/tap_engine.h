@@ -12,23 +12,28 @@
 // Sharded execution (src/exec): taps only touch the two reserves they
 // connect, so the connected components of the reserve/tap graph are
 // independent within a batch. With sharding enabled the cached flow plan is
-// laid out shard-major and each shard runs its two tap passes plus its decay
-// slice as one work item — serially, or on a ShardExecutor worker pool
-// (largest shards first, so one giant component never serializes the tail of
-// a batch). Cross-shard state (flow totals, decay leakage into the battery
-// root or the per-shard sinks) is accumulated per shard and merged after the
-// batch in shard order, so results are bit-identical to the unsharded engine
-// regardless of worker count.
+// laid out shard-major, and consecutive shards are grouped into work units
+// of at least kUnitEntries plan entries plus decay-wired reserves: one
+// executor ticket runs a whole unit — every shard's two tap passes and decay
+// slice, back to back — serially, or on a ShardExecutor worker pool (largest
+// unit first, so one giant component never serializes the tail of a batch).
+// A shard the range split subdivides, and each member of a cut component,
+// is a unit of its own. Cross-shard state (flow totals, decay leakage into
+// the battery root or the per-shard sinks) is accumulated per shard and
+// merged after the batch in shard order, so results are bit-identical to
+// the unsharded engine regardless of worker count or unit layout.
 //
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
 // planned tap (carry, transferred, rate, enabled) lives in the engine-owned
 // ReserveStateBank / TapStateBank — parallel flat arrays indexed by dense
-// per-epoch slots, shard-major with cache-line-aligned shard slices. The plan
-// itself stores bank slots, not pointers: RunShard, both tap passes, and the
-// decay skip-list walk nothing but flat arrays. Reserve/Tap objects
-// read/write through their slot while attached and get the state written back
-// on plan invalidation (see src/core/state_bank.h for the contract).
+// per-epoch slots, shard-major. Slices are padded to cache lines only at
+// unit starts: one thread writes a whole unit, so only units need to own
+// their lines. The plan itself stores bank slots, not pointers: RunUnit, both
+// tap passes, and the decay skip-list walk nothing but flat arrays.
+// Reserve/Tap objects read/write through their slot while attached and get
+// the state written back on plan invalidation (see src/core/state_bank.h for
+// the contract).
 #pragma once
 
 #include <cstdint>
@@ -81,7 +86,7 @@ struct DecayConfig {
   bool to_shard_root = false;
 };
 
-class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayListener {
+class TapEngine final : public KernelObserver, public ShardTask, public ReserveDecayListener {
  public:
   // `battery_reserve` is the root reserve decay leaks back into.
   TapEngine(Kernel* kernel, ObjectId battery_reserve);
@@ -124,10 +129,19 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // then decay leaks every non-exempt reserve toward the battery.
   void RunBatch(Duration dt);
 
+  // A work unit closes once its shards hold at least this many plan entries
+  // plus decay-wired reserves (the partitioner's edge and reserve counts),
+  // and a shard that reaches it alone is a unit of its own. A unit's hot
+  // plan and bank state is then tens of KiB, so it stays in L2 while one
+  // ticket covers many small components. Fixed, like the range split's
+  // geometry; docs/PERFORMANCE.md, "Setting kUnitEntries", has the sweep
+  // it was set from.
+  static constexpr uint32_t kUnitEntries = 1024;
+
   // -- Sharded execution --------------------------------------------------------
-  // Partitions the flow plan into independent per-component shards and runs
-  // each shard's batch as one work item on `executor` (serially in the
-  // calling thread when null). Flows stay bit-identical to the unsharded
+  // Partitions the flow plan into independent per-component shards, grouped
+  // into work units, and runs each unit as one ticket on `executor`
+  // (serially in the calling thread when null). Flows stay bit-identical to the unsharded
   // engine for any worker count. The engine does not own the executor; it
   // must outlive sharded batches.
   void EnableSharding(ShardExecutor* executor);
@@ -136,6 +150,10 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // Shards in the current plan (1 when sharding is disabled). Valid after a
   // plan build, i.e. after any batch.
   uint32_t shard_count() const { return num_shards_; }
+  // Work units in the current plan: unit u covers shards
+  // [unit_first_shard(u), unit_first_shard(u + 1)).
+  uint32_t unit_count() const { return static_cast<uint32_t>(unit_shard_begin_.size()) - 1; }
+  uint32_t unit_first_shard(uint32_t u) const { return unit_shard_begin_[u]; }
 
   // Per-shard accounting since the last plan rebuild (sharded mode).
   struct ShardStats {
@@ -146,10 +164,6 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
     Quantity decay_flow = 0;
   };
   const std::vector<ShardStats>& shard_stats() const { return stats_; }
-  // The order work items are handed to the executor: shard indices sorted by
-  // tap count, largest first, so a giant component starts immediately instead
-  // of serializing the tail of the batch. Results never depend on it.
-  const std::vector<uint32_t>& shard_run_order() const { return shard_order_; }
 
   // The partitioner (sharded mode only; null otherwise) — exposes
   // PartitionStats and the cut layout for tools and tests.
@@ -169,9 +183,10 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   }
 
   // -- Telemetry ----------------------------------------------------------------
-  // Attaches a trace domain: batches emit per-shard flow/timing records into
-  // per-worker rings and flush one frame per batch; plan rebuilds size the
-  // writer slots and dump the plan tables. Takes effect on the next batch
+  // Attaches a trace domain: batches emit per-shard flow and per-unit timing
+  // records into per-worker rings and flush one frame per batch; plan
+  // rebuilds size the writer rings for the plan's per-batch record budget
+  // and dump the plan tables. Takes effect on the next batch
   // (the plan is invalidated so the rebuild can do the cold setup). The
   // engine does not own the domain; null detaches.
   void set_telemetry(TraceDomain* domain) {
@@ -191,11 +206,11 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // KernelObserver: drop deleted taps from the registry.
   void OnObjectDeleted(ObjectId id, ObjectType type) override;
 
-  // ShardTask (executor-facing): runs one shard's tap passes + decay slice.
-  void RunShard(uint32_t shard) override;
-  // Dispatches whole-shard and range tickets (split shards). Range tickets
-  // touch only their range's slice of the per-entry arrays plus private
-  // lanes, so any interleaving across workers is race-free.
+  // ShardTask (executor-facing): runs a unit ticket (its shards' tap passes
+  // and decay slices), a range ticket of a split shard, or a cut member's
+  // pass. Range tickets touch only their range's slice of the per-entry
+  // arrays plus private lanes, so any interleaving across workers is
+  // race-free.
   void RunTicket(const ShardTicket& t) override;
 
   // ReserveDecayListener: a reserve became non-empty (or lost its exemption)
@@ -213,26 +228,49 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
     Reserve* dst;
   };
 
+  struct DecayResult {
+    Quantity flow = 0;
+    Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
+    Quantity stray = 0;  // Stray reserves' leakage: always the battery.
+  };
   // Per-shard batch accumulators, merged (in shard order) after the parallel
   // phase. Cache-line sized so concurrent shards never false-share.
   struct alignas(64) ShardScratch {
     Quantity tap_flow = 0;
-    Quantity decay_flow = 0;
-    Quantity decay_leak = 0;   // Banked for the battery root / shard sink.
-    Quantity decay_stray = 0;  // Stray reserves' leakage: always the battery.
+    DecayResult decay;
   };
 
   bool PlanIsCurrent() const {
     return plan_valid_ && plan_epoch_ == kernel_->mutation_epoch();
   }
   void RebuildPlan();
+  // Groups consecutive shards into work units (unit_shard_begin_) from the
+  // partitioner's component sizes and the per-shard entry counts in
+  // shard_plan_begin_; split candidates and cut members stand alone.
+  void BuildUnits();
+  // Whether shard `s` with `entries` plan entries is big enough to range
+  // split (BuildSplitPlan also excludes live cut members).
+  bool SplitCandidate(uint32_t s, uint32_t entries) const;
   // Range-split plan: selects oversized shards, computes (group-boundary
   // snapped) range bounds, per-range distinct-group lane maps, the
   // shared/exclusive destination classification, and the two ticket tables.
   void BuildSplitPlan();
-  // The phase ticket tables (pass 1 / pass 2), covering split ranges, cut
-  // members, and whole shards in largest-first order.
+  // The phase ticket tables (pass 1 / pass 2): one unit ticket per plain
+  // unit, plus split ranges and cut member passes, in largest-unit-first
+  // order.
   void BuildTicketTables();
+  // Runs one phase's tickets: on the executor when there is one (it runs a
+  // single ticket, or a one-worker pool, inline), else serially in order.
+  void RunPhase(const std::vector<ShardTicket>& tickets);
+  // The shards [first, first + count) of one unit, back to back (tap
+  // passes and decay slice, results banked in each shard's scratch), then
+  // its records: one kShardBatch per shard and one kShardTiming for the
+  // unit (timed from `t0`).
+  void RunUnit(uint32_t first, uint32_t count);
+  void EmitUnitRecords(uint32_t first, uint32_t count, int64_t t0);
+  // Folds one shard's batch results into the engine totals and stats and
+  // makes its decay-leak deposits (main thread, in shard order).
+  void MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay);
   // The split execution pipeline (see RunBatch): pass-1 ranges accumulate
   // demand into private lanes; a serial range-order reduction folds lanes
   // into the canonical per-group totals and classifies each group as
@@ -268,14 +306,9 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
   void WriteBackBank();
-  // The two tap passes of one shard; returns the flow moved. RunShard and the
-  // single-shard fast path compose it with DecayShard.
+  // The two tap passes of one shard; returns the flow moved. RunUnit and
+  // the one-shard inline batch compose it with DecayShard.
   Quantity RunShardTaps(uint32_t shard);
-  struct DecayResult {
-    Quantity flow = 0;
-    Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
-    Quantity stray = 0;  // Stray reserves' leakage: always the battery.
-  };
   DecayResult DecayShard(uint32_t shard);
   // Telemetry cold paths: the rebuild-time plan table dump (spill-direct) and
   // the merge loop's sink-deposit records.
@@ -294,8 +327,8 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // ReserveStateBank slots, plan_group_ the per-source demand slot. The
   // per-entry mutable state (tap carry/transferred/rate/enabled and the
   // pass-1 `want_` scratch) is indexed through the *padded* per-entry index
-  // ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]), so each shard's
-  // slice of those arrays starts cache-line aligned and concurrent shards
+  // ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]), so each unit's
+  // slice of those arrays starts cache-line aligned and concurrent units
   // never write the same line. -1 in want_ marks "skip".
   std::vector<uint32_t> plan_src_;
   std::vector<uint32_t> plan_dst_;
@@ -306,7 +339,7 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   double* want_base_ = nullptr;
   // Per distinct source reserve, indexed through group_base_: the vector is
   // over-allocated so group_base_ can start on a cache-line boundary, which
-  // (with the per-shard slice padding in RebuildPlan) gives each shard
+  // (with the per-unit slice padding in RebuildPlan) gives each unit
   // exclusive ownership of its demand lines.
   std::vector<double> group_demand_;
   double* group_base_ = nullptr;
@@ -314,9 +347,9 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
 
   // -- State banks --------------------------------------------------------------
   // Reserve slots are dense per epoch and shard-major: shard s owns
-  // [shard_slot_begin_[s], shard_slot_begin_[s+1]) with slices padded to
-  // cache-line boundaries, id order within a shard. Tap slots are the padded
-  // per-entry indices above.
+  // [shard_slot_begin_[s], shard_slot_begin_[s+1]), id order within a shard,
+  // with each unit's first slice padded to a cache-line boundary. Tap slots
+  // are the padded per-entry indices above.
   ReserveStateBank rbank_;
   TapStateBank tbank_;
   std::vector<uint32_t> shard_slot_begin_;
@@ -333,8 +366,9 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // own leakage with one compare.
   std::vector<Reserve*> shard_sink_;
   std::vector<uint32_t> shard_sink_slot_;
-  // Largest-first execution order handed to the ShardExecutor.
-  std::vector<uint32_t> shard_order_;
+  // Work units: unit u covers shards [unit_shard_begin_[u],
+  // unit_shard_begin_[u+1]); always at least one unit.
+  std::vector<uint32_t> unit_shard_begin_{0, 1};
 
   // -- Range split (intra-shard parallel tap passes) ----------------------------
   // Geometry is rebuilt with the plan; batches only read it. A "split slot"
@@ -379,9 +413,10 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   std::vector<uint8_t> group_fast_;
   std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
   std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
-  // Ticket tables handed to the executor: pass 1 covers every shard (range
-  // tickets for split shards, whole-shard tickets otherwise) in
-  // largest-first order; pass 2 covers only split shards' ranges.
+  // Ticket tables handed to the executor: pass 1 covers every shard (unit
+  // tickets, range tickets for split shards, kCutPass1 for cut members) in
+  // largest-unit-first order; pass 2 covers split shards' ranges and cut
+  // members.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).

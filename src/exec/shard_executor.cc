@@ -24,49 +24,47 @@ ShardExecutor::~ShardExecutor() {
   }
 }
 
-void ShardExecutor::DrainShards(ShardTask* task, uint32_t n_shards, const uint32_t* order,
-                                const ShardTicket* tickets, uint64_t generation) {
-  // The ticket packs (generation << 32 | next_shard). Claiming via CAS (not
+void ShardExecutor::DrainTickets(ShardTask* task, const ShardTicket* tickets, uint32_t n,
+                                 uint64_t generation) {
+  // The ticket packs (generation << 32 | next_ticket). Claiming via CAS (not
   // fetch_add) keeps a straggler from a finished batch from blindly consuming
-  // a shard index that already belongs to the next batch: a stale generation
-  // tag makes it back off without touching the counter.
+  // a ticket index that already belongs to the next batch: a stale
+  // generation tag makes it back off without touching the counter.
   const uint64_t gen_tag = generation << 32;
-  // Telemetry reads here are main-thread-cold fields (set before any batch),
-  // and the ring is this thread's own writer slot.
+  // The dispatch ring (this thread's own writer slot) is looked up only after
+  // the first successful claim: a straggler that finds the batch already
+  // drained never touches the domain, which may be gone once the batch's
+  // caller has returned.
   TraceDomain* const td = telemetry_;
-  TraceRing* const trace =
-      td != nullptr && td->on(RecordKind::kDispatch) ? td->ring(tls_worker_slot_) : nullptr;
+  TraceRing* trace = nullptr;
+  bool claimed = false;
   const uint16_t slot_tag = static_cast<uint16_t>(tls_worker_slot_) << 8;
   uint64_t t = ticket_.load(std::memory_order_relaxed);
   while (true) {
     if ((t & ~uint64_t{0xffffffff}) != gen_tag) {
       return;  // A newer batch owns the ticket.
     }
-    const auto s = static_cast<uint32_t>(t);
-    if (s >= n_shards) {
-      return;  // All shards handed out.
+    const auto i = static_cast<uint32_t>(t);
+    if (i >= n) {
+      return;  // All tickets handed out.
     }
     if (!ticket_.compare_exchange_weak(t, t + 1, std::memory_order_relaxed)) {
       continue;  // Lost the claim; t was reloaded.
     }
-    if (tickets != nullptr) {
-      if (trace != nullptr) {
-        trace->Emit(td->time_us(), RecordKind::kDispatch, tickets[s].shard,
-                    slot_tag | static_cast<uint16_t>(tickets[s].range & 0xff),
-                    static_cast<uint8_t>(tickets[s].kind), 0, 0);
-      }
-      task->RunTicket(tickets[s]);
-    } else {
-      const uint32_t shard = order != nullptr ? order[s] : s;
-      if (trace != nullptr) {
-        trace->Emit(td->time_us(), RecordKind::kDispatch, shard, slot_tag,
-                    static_cast<uint8_t>(ShardTicketKind::kWholeShard), 0, 0);
-      }
-      task->RunShard(shard);
+    if (!claimed) {
+      claimed = true;
+      trace = td != nullptr && td->on(RecordKind::kDispatch) ? td->ring(tls_worker_slot_) : nullptr;
     }
-    // acq_rel so the waiter's acquire load of done_shards_ orders every
-    // shard's writes before the caller's merge step.
-    if (done_shards_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_shards) {
+    const ShardTicket& tk = tickets[i];
+    if (trace != nullptr) {
+      trace->Emit(td->time_us(), RecordKind::kDispatch, tk.shard,
+                  slot_tag | static_cast<uint16_t>(tk.range & 0xff), static_cast<uint8_t>(tk.kind),
+                  0, tk.shards);
+    }
+    task->RunTicket(tk);
+    // acq_rel so the waiter's acquire load of done_tickets_ orders every
+    // ticket's writes before the caller's merge step.
+    if (done_tickets_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
       std::lock_guard<std::mutex> lk(mu_);
       cv_done_.notify_all();
     }
@@ -79,9 +77,8 @@ void ShardExecutor::WorkerMain(uint32_t slot) {
   uint64_t seen_generation = 0;
   while (true) {
     ShardTask* task;
-    uint32_t n_shards;
-    const uint32_t* order;
     const ShardTicket* tickets;
+    uint32_t n;
     uint64_t generation;
     {
       std::unique_lock<std::mutex> lk(mu_);
@@ -94,58 +91,35 @@ void ShardExecutor::WorkerMain(uint32_t slot) {
       seen_generation = generation_;
       generation = generation_;
       task = task_;
-      n_shards = n_shards_;
-      order = order_;
       tickets = tickets_;
+      n = n_tickets_;
     }
-    DrainShards(task, n_shards, order, tickets, generation);
+    DrainTickets(task, tickets, n, generation);
   }
-}
-
-void ShardExecutor::Launch(ShardTask* task, uint32_t n, const uint32_t* order,
-                           const ShardTicket* tickets) {
-  uint64_t generation;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    task_ = task;
-    n_shards_ = n;
-    order_ = order;
-    tickets_ = tickets;
-    generation = ++generation_;
-    done_shards_.store(0, std::memory_order_relaxed);
-    ticket_.store(generation << 32, std::memory_order_relaxed);
-  }
-  cv_start_.notify_all();
-  // The caller is worker zero.
-  DrainShards(task, n, order, tickets, generation);
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] { return done_shards_.load(std::memory_order_acquire) == n; });
-}
-
-void ShardExecutor::Run(ShardTask* task, uint32_t n_shards, const uint32_t* order) {
-  if (n_shards == 0) {
-    return;
-  }
-  if (threads_.empty() || n_shards == 1) {
-    for (uint32_t s = 0; s < n_shards; ++s) {
-      task->RunShard(order != nullptr ? order[s] : s);
-    }
-    return;
-  }
-  Launch(task, n_shards, order, nullptr);
 }
 
 void ShardExecutor::RunTickets(ShardTask* task, const ShardTicket* tickets, uint32_t n) {
-  if (n == 0) {
-    return;
-  }
-  if (threads_.empty() || n == 1) {
+  if (threads_.empty() || n <= 1) {
     for (uint32_t i = 0; i < n; ++i) {
       task->RunTicket(tickets[i]);
     }
     return;
   }
-  Launch(task, n, nullptr, tickets);
+  uint64_t generation;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    task_ = task;
+    tickets_ = tickets;
+    n_tickets_ = n;
+    generation = ++generation_;
+    done_tickets_.store(0, std::memory_order_relaxed);
+    ticket_.store(generation << 32, std::memory_order_relaxed);
+  }
+  cv_start_.notify_all();
+  // The caller is worker zero.
+  DrainTickets(task, tickets, n, generation);
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_done_.wait(lk, [&] { return done_tickets_.load(std::memory_order_acquire) == n; });
 }
 
 }  // namespace cinder

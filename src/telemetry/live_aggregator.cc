@@ -115,7 +115,7 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
     }
     case RecordKind::kShardTiming: {
       WorkerLive& w = WorkerAt(r.aux);
-      ++w.shard_runs;
+      w.shard_runs += ShardsTimed(r);
       w.busy_ns += static_cast<uint64_t>(r.v0);
       w.window_busy_ns += static_cast<uint64_t>(r.v0);
       break;

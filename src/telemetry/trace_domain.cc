@@ -82,7 +82,7 @@ void TraceDomain::Configure(const TelemetryConfig& cfg) {
   EnsureWriters(1);
 }
 
-void TraceDomain::EnsureWriters(uint32_t n) {
+void TraceDomain::EnsureWriters(uint32_t n, uint32_t batch_records) {
   if (!cfg_.enabled) {
     return;
   }
@@ -90,6 +90,9 @@ void TraceDomain::EnsureWriters(uint32_t n) {
       static_cast<uint32_t>(RecordsForBytes(cfg_.ring_bytes, 16));
   while (rings_.size() < n) {
     rings_.push_back(std::make_unique<TraceRing>(ring_records));
+  }
+  for (auto& ring : rings_) {
+    ring->Grow(ring_records + batch_records);
   }
 }
 

@@ -40,7 +40,11 @@ struct TelemetryConfig {
   bool enabled = false;
 #endif
   // Per-writer ring capacity in bytes (rounded up to a power-of-two record
-  // count). 64 KiB = 2048 records per worker per batch before overwrite.
+  // count): 64 KiB = 2048 records. This is the headroom for records written
+  // between batches (scheduler picks, CPU charges, syscall reserve ops); the
+  // tap engine grows every ring at plan build by the records its plan can
+  // emit in one batch, so the default config loses nothing at any fleet
+  // size (docs/TELEMETRY.md "Ring sizing").
   uint32_t ring_bytes = 64 * 1024;
   // Which RecordKinds are written (1 << kind). The default covers every
   // O(shards)-volume kind; see trace_record.h for the fine-grained opt-ins.
@@ -104,9 +108,11 @@ class TraceDomain {
   uint32_t record_mask() const { return cfg_.enabled ? cfg_.record_mask : 0; }
   bool on(RecordKind k) const { return (record_mask() & RecordBit(k)) != 0; }
 
-  // Grows the writer-slot table to `n` rings (idempotent; cold path — call
-  // from the main thread with no batch in flight, e.g. at plan rebuild).
-  void EnsureWriters(uint32_t n);
+  // Grows the writer-slot table to `n` rings, and every ring to hold
+  // `batch_records` more than ring_bytes' worth — exactly, not rounded, and
+  // never shrinking; pending records survive. Idempotent; cold path — call
+  // from the main thread with no batch in flight, e.g. at plan rebuild.
+  void EnsureWriters(uint32_t n, uint32_t batch_records = 0);
   uint32_t writers() const { return static_cast<uint32_t>(rings_.size()); }
   // The ring a writer on `slot` appends to; null when the domain is disabled
   // or the slot has no ring (then skip the event — never share another

@@ -91,7 +91,7 @@ class TraceReader {
   struct WorkerLoad {
     uint32_t worker = 0;    // Slot: 0 = the calling thread.
     uint64_t dispatches = 0;  // Tickets claimed (kDispatch).
-    uint64_t shard_runs = 0;  // Whole-shard work items timed (kShardTiming).
+    uint64_t shard_runs = 0;  // Shard-batches timed (kShardTiming, summed v1).
     uint64_t range_runs = 0;  // Range passes timed (kRangeTiming).
     uint64_t busy_ns = 0;     // Summed timed nanoseconds.
   };

@@ -33,8 +33,12 @@ enum class RecordKind : uint8_t {
   // v1 = decay flow (nJ). The sum over all records equals the engine's
   // total_tap_flow()/total_decay_flow() bit-for-bit.
   kShardBatch = 1,
-  // Per shard per batch: actor = shard index, v0 = wall nanoseconds the
-  // shard's work item took, aux = worker slot that ran it.
+  // Per work unit per batch (a run of consecutive shards one thread runs
+  // back to back; a cut member is a unit of one): actor = the unit's first
+  // shard, v1 = shards covered, v0 = wall nanoseconds the unit took,
+  // aux = worker slot that ran it. A range-split shard writes kRangeTiming
+  // instead. Files written before units carry one record per shard with
+  // v1 = 0; ShardsTimed reads that as 1.
   kShardTiming = 2,
   // Per range pass of a split shard: actor = shard index,
   // aux = (worker slot << 8) | range index, flags = pass (1 or 2),
@@ -61,8 +65,10 @@ enum class RecordKind : uint8_t {
   kSchedPick = 8,
   // CPU billing: actor = low 32 bits of the thread id, v0 = billed (nJ).
   kCpuCharge = 9,
-  // Executor dispatch: one per claimed ticket. actor = shard index,
-  // aux = (worker slot << 8) | range index, flags = ShardTicketKind.
+  // Executor dispatch: one per ticket claimed on the worker pool (a serial
+  // batch writes none). actor = shard index (a unit ticket's first shard),
+  // aux = (worker slot << 8) | range index, flags = ShardTicketKind,
+  // v1 = shards the ticket covers (a unit's shard count, else 1).
   kDispatch = 10,
   // Fine-grained, off by default. Plan table dumped at each rebuild so
   // offline readers can map plan entries back to kernel objects:
@@ -116,6 +122,9 @@ constexpr uint32_t kAllRecordsMask = (uint32_t{1} << static_cast<uint8_t>(Record
 
 // Everything whose volume is O(shards + quanta) per batch. The per-tap /
 // per-reserve kinds multiply record volume by the plan size and are opt-in.
+// The tap engine grows every writer ring at plan build by the records its
+// plan can emit in one batch of these kinds (TraceDomain::EnsureWriters), so
+// the default mask never overwrites a record at any fleet size.
 constexpr uint32_t kDefaultRecordMask =
     kAllRecordsMask & ~(RecordBit(RecordKind::kTapTransfer) | RecordBit(RecordKind::kReserveDecay) |
                         RecordBit(RecordKind::kPlanTap) | RecordBit(RecordKind::kPlanReserve));
@@ -134,5 +143,11 @@ struct TraceRecord {
   uint16_t aux = 0;
 };
 static_assert(sizeof(TraceRecord) == 32, "records are fixed 32-byte binary");
+
+// Shards a kShardTiming record covers: its v1, with the pre-unit files' 0
+// read as the one shard such a record timed.
+inline uint64_t ShardsTimed(const TraceRecord& r) {
+  return r.v1 > 0 ? static_cast<uint64_t>(r.v1) : 1;
+}
 
 }  // namespace cinder

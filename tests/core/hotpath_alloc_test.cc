@@ -123,11 +123,13 @@ TEST(HotPathAllocTest, ShardedSteadyStateIsAllocationFree) {
   TapEngine engine(&k, battery->id());
   engine.EnableSharding(&exec);
   engine.decay().enabled = true;
+  // 128 taps per component: the 8 components fill two work units, so the
+  // batches really wake the pool.
   for (int c = 0; c < 8; ++c) {
     Reserve* pool = k.Create<Reserve>(
         k.root_container_id(), Label(Level::k1), "pool");
     pool->Deposit(INT64_MAX / 16);
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 128; ++i) {
       Reserve* r = k.Create<Reserve>(
           k.root_container_id(), Label(Level::k1), "r");
       Tap* tap = k.Create<Tap>(k.root_container_id(),
@@ -147,6 +149,7 @@ TEST(HotPathAllocTest, ShardedSteadyStateIsAllocationFree) {
     engine.RunBatch(Duration::Millis(10));
   }
   ASSERT_EQ(engine.shard_count(), 8u);
+  ASSERT_EQ(engine.unit_count(), 2u);
   const unsigned long long before = g_allocations.load();
   for (int i = 0; i < 1000; ++i) {
     engine.RunBatch(Duration::Millis(10));
@@ -291,11 +294,12 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
   cfg.spill_grow = false;
   TraceDomain domain(cfg);
   engine.set_telemetry(&domain);
+  // Two work units of four components each, so the batches are pooled.
   for (int c = 0; c < 8; ++c) {
     Reserve* pool = k.Create<Reserve>(
         k.root_container_id(), Label(Level::k1), "pool");
     pool->Deposit(INT64_MAX / 16);
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 128; ++i) {
       Reserve* r = k.Create<Reserve>(
           k.root_container_id(), Label(Level::k1), "r");
       Tap* tap = k.Create<Tap>(k.root_container_id(), Label(Level::k1), "t",
@@ -312,6 +316,7 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
     engine.RunBatch(Duration::Millis(10));
   }
   ASSERT_EQ(engine.shard_count(), 8u);
+  ASSERT_EQ(engine.unit_count(), 2u);
   const unsigned long long before = g_allocations.load();
   for (int i = 0; i < 1000; ++i) {
     engine.RunBatch(Duration::Millis(10));
@@ -325,8 +330,8 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
 }
 
 TEST(HotPathAllocTest, TelemetrySingleShardFastPathIsAllocationFree) {
-  // The tiny-batch fast path (one shard, no pool) with telemetry on: emit +
-  // flush per batch must stay store-only.
+  // A tiny one-shard plan (one unit, run inline with no pool) with
+  // telemetry on: emit + flush per batch must stay store-only.
   Kernel k;
   Reserve* battery = k.Create<Reserve>(
       k.root_container_id(), Label(Level::k1), "battery");
@@ -357,6 +362,57 @@ TEST(HotPathAllocTest, TelemetrySingleShardFastPathIsAllocationFree) {
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(domain.frames_flushed(), 1001u);
   EXPECT_GT(engine.total_tap_flow(), 0);
+}
+
+TEST(HotPathAllocTest, TelemetryMultiUnitFleetIsAllocationFreeAfterRingGrowth) {
+  // A 400-phone fleet with the default telemetry config on a 4-worker pool:
+  // the rebuild grows every writer ring by the plan's per-batch record
+  // budget (that allocates, once), and from then on the pooled multi-unit
+  // batches allocate nothing and lose no record.
+  Kernel k;
+  Reserve* battery = k.Create<Reserve>(
+      k.root_container_id(), Label(Level::k1), "battery");
+  battery->set_decay_exempt(true);
+  ShardExecutor exec(4);
+  TapEngine engine(&k, battery->id());
+  engine.EnableSharding(&exec);
+  engine.decay().enabled = true;
+  engine.decay().to_shard_root = true;
+  TelemetryConfig cfg;
+  cfg.enabled = true;
+  TraceDomain domain(cfg);
+  engine.set_telemetry(&domain);
+  exec.set_telemetry(&domain);
+  for (int p = 0; p < 400; ++p) {
+    Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
+    pool->Deposit(ToQuantity(Energy::Joules(100.0 + p)));
+    Reserve* fg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "fg");
+    Reserve* bg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "bg");
+    Tap* feed_fg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_fg", pool->id(), fg->id());
+    feed_fg->SetConstantPower(Power::Milliwatts(150 + p % 5 * 50));
+    ASSERT_TRUE(engine.Register(feed_fg->id()));
+    Tap* feed_bg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_bg", pool->id(), bg->id());
+    feed_bg->SetProportionalRate(0.002);
+    ASSERT_TRUE(engine.Register(feed_bg->id()));
+    Tap* back = k.Create<Tap>(k.root_container_id(), Label(Level::k1), "back", fg->id(),
+                              pool->id());
+    back->SetProportionalRate(0.1);
+    ASSERT_TRUE(engine.Register(back->id()));
+  }
+  for (int i = 0; i < 10; ++i) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  ASSERT_GE(engine.unit_count(), 3u);
+  const unsigned long long before = g_allocations.load();
+  for (int i = 0; i < 500; ++i) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(domain.ring_dropped(), 0u);
+  EXPECT_GT(engine.total_tap_flow(), 0);
+  EXPECT_GT(engine.total_decay_flow(), 0);
 }
 
 TEST(HotPathAllocTest, SchedulerRefreshOnSteadyChurnIsAllocationFree) {

@@ -167,29 +167,6 @@ TEST(ShardDeterminismTest, IrregularBatchDurationsStayIdentical) {
   ExpectIdenticalState(unsharded, sharded, "irregular durations");
 }
 
-TEST(ShardDeterminismTest, ExecutorOrderIsLargestShardFirst) {
-  ShardExecutor exec(2);
-  Fleet sharded(&exec, /*sharded=*/true);
-  // Unbalance the fleet: give phone 0's component three extra taps.
-  const std::string prefix = "phone0/extra";
-  const auto& reserves = sharded.kernel.ObjectsOfType(ObjectType::kReserve);
-  ObjectId pool = reserves[1];  // First reserve after the battery = phone0/pool.
-  for (int i = 0; i < 3; ++i) {
-    Reserve* r = sharded.NewReserve(prefix + std::to_string(i));
-    sharded.NewTap(pool, r->id(), prefix + "/t" + std::to_string(i))
-        ->SetConstantPower(Power::Milliwatts(1));
-  }
-  sharded.RunBatches(1);
-  const auto& order = sharded.engine->shard_run_order();
-  const auto& stats = sharded.engine->shard_stats();
-  ASSERT_EQ(order.size(), stats.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_GE(stats[order[i - 1]].taps, stats[order[i]].taps)
-        << "order[" << i - 1 << "]=" << order[i - 1] << " order[" << i << "]=" << order[i];
-  }
-  EXPECT_EQ(order[0], 0u) << "phone 0 has the most taps and must run first";
-}
-
 // decay_to_shard_root golden: with per-shard sinks on, results must still be
 // bit-identical across worker counts (the serial sharded engine is the
 // reference), the battery must receive no decay leakage, and every shard's

@@ -8,23 +8,45 @@
 namespace cinder {
 namespace {
 
-// Counts how many times each shard index ran.
+// Counts how many times each shard ran: a unit ticket counts every shard it
+// covers, a range ticket its (split, range) cell.
 class CountingTask : public ShardTask {
  public:
-  explicit CountingTask(uint32_t n) : counts_(n) {}
-  void RunShard(uint32_t shard) override {
-    counts_[shard].fetch_add(1, std::memory_order_relaxed);
+  CountingTask(uint32_t shards, uint32_t cells = 0) : shards_(shards), cells_(cells) {}
+  void RunTicket(const ShardTicket& t) override {
+    if (t.kind == ShardTicketKind::kUnit) {
+      for (uint32_t s = t.shard; s < t.shard + t.shards; ++s) {
+        shards_[s].fetch_add(1, std::memory_order_relaxed);
+      }
+    } else {
+      cells_[t.split * 8 + t.range].fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  uint32_t count(uint32_t s) const { return counts_[s].load(std::memory_order_relaxed); }
+  uint32_t count(uint32_t s) const { return shards_[s].load(std::memory_order_relaxed); }
+  uint32_t cell_count(uint32_t c) const { return cells_[c].load(std::memory_order_relaxed); }
 
  private:
-  std::vector<std::atomic<uint32_t>> counts_;
+  std::vector<std::atomic<uint32_t>> shards_;
+  std::vector<std::atomic<uint32_t>> cells_;
 };
+
+// One single-shard unit ticket per shard, in `order` (identity when empty).
+std::vector<ShardTicket> UnitTickets(uint32_t n, const std::vector<uint32_t>& order = {}) {
+  std::vector<ShardTicket> tickets;
+  for (uint32_t i = 0; i < n; ++i) {
+    tickets.push_back(ShardTicket{order.empty() ? i : order[i], 0, 0, ShardTicketKind::kUnit});
+  }
+  return tickets;
+}
+
+void RunUnits(ShardExecutor& exec, ShardTask* task, const std::vector<ShardTicket>& tickets) {
+  exec.RunTickets(task, tickets.data(), static_cast<uint32_t>(tickets.size()));
+}
 
 TEST(ShardExecutorTest, RunsEveryShardExactlyOnce) {
   ShardExecutor exec(4);
   CountingTask task(37);
-  exec.Run(&task, 37);
+  RunUnits(exec, &task, UnitTickets(37));
   for (uint32_t s = 0; s < 37; ++s) {
     EXPECT_EQ(task.count(s), 1u) << "shard " << s;
   }
@@ -34,7 +56,7 @@ TEST(ShardExecutorTest, SingleWorkerRunsSeriallyInCaller) {
   ShardExecutor exec(1);
   EXPECT_EQ(exec.workers(), 1);
   CountingTask task(8);
-  exec.Run(&task, 8);
+  RunUnits(exec, &task, UnitTickets(8));
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_EQ(task.count(s), 1u);
   }
@@ -43,7 +65,7 @@ TEST(ShardExecutorTest, SingleWorkerRunsSeriallyInCaller) {
 TEST(ShardExecutorTest, ZeroShardsIsANoOp) {
   ShardExecutor exec(4);
   CountingTask task(1);
-  exec.Run(&task, 0);
+  exec.RunTickets(&task, nullptr, 0);
   EXPECT_EQ(task.count(0), 0u);
 }
 
@@ -51,29 +73,30 @@ TEST(ShardExecutorTest, NonPositiveWorkerCountClampsToOne) {
   ShardExecutor exec(0);
   EXPECT_EQ(exec.workers(), 1);
   CountingTask task(3);
-  exec.Run(&task, 3);
+  RunUnits(exec, &task, UnitTickets(3));
   EXPECT_EQ(task.count(2), 1u);
 }
 
 TEST(ShardExecutorTest, RepeatedRunsDoNotLeakWorkAcrossBatches) {
   // Back-to-back batches exercise the generation-tagged ticket: a straggler
-  // from batch k must never consume a shard of batch k+1.
+  // from batch k must never consume a ticket of batch k+1.
   ShardExecutor exec(4);
   CountingTask task(8);
+  const std::vector<ShardTicket> tickets = UnitTickets(8);
   const int kBatches = 2000;
   for (int i = 0; i < kBatches; ++i) {
-    exec.Run(&task, 8);
+    RunUnits(exec, &task, tickets);
   }
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_EQ(task.count(s), static_cast<uint32_t>(kBatches)) << "shard " << s;
   }
 }
 
-// Records the order shards were claimed in (serial executor, so the claim
-// order is the execution order).
+// Records the order tickets ran in (serial executor, so the claim order is
+// the execution order).
 class OrderRecordingTask : public ShardTask {
  public:
-  void RunShard(uint32_t shard) override { order_.push_back(shard); }
+  void RunTicket(const ShardTicket& t) override { order_.push_back(t.shard); }
   const std::vector<uint32_t>& order() const { return order_; }
 
  private:
@@ -84,7 +107,7 @@ TEST(ShardExecutorTest, HonorsCallerSuppliedExecutionOrder) {
   ShardExecutor exec(1);
   OrderRecordingTask task;
   const std::vector<uint32_t> order = {3, 0, 2, 1};
-  exec.Run(&task, 4, order.data());
+  RunUnits(exec, &task, UnitTickets(4, order));
   EXPECT_EQ(task.order(), order);
 }
 
@@ -95,60 +118,59 @@ TEST(ShardExecutorTest, OrderedRunStillRunsEveryShardExactlyOnceOnAPool) {
   for (uint32_t s = 0; s < 37; ++s) {
     order[s] = 36 - s;  // Largest-index first; any permutation is legal.
   }
+  const std::vector<ShardTicket> tickets = UnitTickets(37, order);
   for (int batch = 0; batch < 500; ++batch) {
-    exec.Run(&task, 37, order.data());
+    RunUnits(exec, &task, tickets);
   }
   for (uint32_t s = 0; s < 37; ++s) {
     EXPECT_EQ(task.count(s), 500u) << "shard " << s;
   }
 }
 
-// Tallies tickets by kind: whole-shard tickets count the shard, range
-// tickets count (split, range) cells.
-class TicketTask : public ShardTask {
- public:
-  TicketTask(uint32_t shards, uint32_t cells) : shards_(shards), cells_(cells) {}
-  void RunShard(uint32_t shard) override {
-    shards_[shard].fetch_add(1, std::memory_order_relaxed);
+TEST(ShardExecutorTest, UnitTicketsCoverEveryShardOfTheirRange) {
+  // Units of uneven sizes — a many-shard unit, single-shard units, and a
+  // tail unit — on a pool: each shard runs once per batch, whichever worker
+  // claims its unit.
+  ShardExecutor exec(4);
+  const std::vector<ShardTicket> tickets = {
+      ShardTicket{10, 0, 0, ShardTicketKind::kUnit, 20},
+      ShardTicket{0, 0, 0, ShardTicketKind::kUnit, 1},
+      ShardTicket{1, 0, 0, ShardTicketKind::kUnit, 9},
+      ShardTicket{30, 0, 0, ShardTicketKind::kUnit, 7},
+  };
+  CountingTask task(37);
+  const int kBatches = 500;
+  for (int i = 0; i < kBatches; ++i) {
+    RunUnits(exec, &task, tickets);
   }
-  void RunTicket(const ShardTicket& t) override {
-    if (t.kind == ShardTicketKind::kWholeShard) {
-      RunShard(t.shard);
-    } else {
-      cells_[t.split * 8 + t.range].fetch_add(1, std::memory_order_relaxed);
-    }
+  for (uint32_t s = 0; s < 37; ++s) {
+    EXPECT_EQ(task.count(s), static_cast<uint32_t>(kBatches)) << "shard " << s;
   }
-  uint32_t shard_count(uint32_t s) const { return shards_[s].load(std::memory_order_relaxed); }
-  uint32_t cell_count(uint32_t c) const { return cells_[c].load(std::memory_order_relaxed); }
-
- private:
-  std::vector<std::atomic<uint32_t>> shards_;
-  std::vector<std::atomic<uint32_t>> cells_;
-};
+}
 
 TEST(ShardExecutorTest, RunTicketsDispatchesMixedTicketKindsExactlyOnce) {
-  // A mixed table — whole-shard tickets interleaved with pass-1 range
-  // tickets for two split shards — across many back-to-back batches on a
-  // pool, mirroring how the tap engine's phase A dispatches.
+  // A mixed table — unit tickets interleaved with pass-1 range tickets for
+  // two split shards — across many back-to-back batches on a pool,
+  // mirroring how the tap engine's phase A dispatches.
   ShardExecutor exec(4);
   std::vector<ShardTicket> tickets;
-  tickets.push_back(ShardTicket{0, 0, 0, ShardTicketKind::kWholeShard});
+  tickets.push_back(ShardTicket{0, 0, 0, ShardTicketKind::kUnit});
   for (uint32_t r = 0; r < 8; ++r) {
     tickets.push_back(ShardTicket{1, 0, r, ShardTicketKind::kPass1Range});
   }
-  tickets.push_back(ShardTicket{2, 0, 0, ShardTicketKind::kWholeShard});
+  tickets.push_back(ShardTicket{2, 0, 0, ShardTicketKind::kUnit});
   for (uint32_t r = 0; r < 3; ++r) {
     tickets.push_back(ShardTicket{3, 1, r, ShardTicketKind::kPass2Range});
   }
-  TicketTask task(4, 16);
+  CountingTask task(4, 16);
   const int kBatches = 1000;
   for (int i = 0; i < kBatches; ++i) {
-    exec.RunTickets(&task, tickets.data(), static_cast<uint32_t>(tickets.size()));
+    RunUnits(exec, &task, tickets);
   }
-  EXPECT_EQ(task.shard_count(0), static_cast<uint32_t>(kBatches));
-  EXPECT_EQ(task.shard_count(2), static_cast<uint32_t>(kBatches));
-  EXPECT_EQ(task.shard_count(1), 0u);
-  EXPECT_EQ(task.shard_count(3), 0u);
+  EXPECT_EQ(task.count(0), static_cast<uint32_t>(kBatches));
+  EXPECT_EQ(task.count(2), static_cast<uint32_t>(kBatches));
+  EXPECT_EQ(task.count(1), 0u);
+  EXPECT_EQ(task.count(3), 0u);
   for (uint32_t r = 0; r < 8; ++r) {
     EXPECT_EQ(task.cell_count(r), static_cast<uint32_t>(kBatches)) << "split 0 range " << r;
   }
@@ -158,38 +180,34 @@ TEST(ShardExecutorTest, RunTicketsDispatchesMixedTicketKindsExactlyOnce) {
 }
 
 TEST(ShardExecutorTest, RunTicketsSingleTicketRunsInCaller) {
-  ShardExecutor exec(4);
-  const ShardTicket one{5, 0, 0, ShardTicketKind::kWholeShard};
-  TicketTask task(6, 1);
-  exec.RunTickets(&task, &one, 1);
-  EXPECT_EQ(task.shard_count(5), 1u);
-}
-
-TEST(ShardExecutorTest, BaseTaskIgnoresRangeTickets) {
-  // A ShardTask that never overrides RunTicket must still run whole-shard
-  // tickets (and safely ignore range kinds it does not understand).
-  ShardExecutor exec(1);
-  std::vector<ShardTicket> tickets = {
-      ShardTicket{0, 0, 0, ShardTicketKind::kWholeShard},
-      ShardTicket{1, 0, 0, ShardTicketKind::kPass1Range},
-      ShardTicket{2, 0, 0, ShardTicketKind::kWholeShard},
+  // A one-ticket batch never wakes the pool: it runs on the calling
+  // thread's writer slot.
+  class SlotTask : public ShardTask {
+   public:
+    void RunTicket(const ShardTicket& t) override {
+      shard = t.shard;
+      slot = ShardExecutor::current_worker_slot();
+    }
+    uint32_t shard = 0;
+    uint32_t slot = 99;
   };
-  CountingTask task(3);
-  exec.RunTickets(&task, tickets.data(), 3);
-  EXPECT_EQ(task.count(0), 1u);
-  EXPECT_EQ(task.count(1), 0u);
-  EXPECT_EQ(task.count(2), 1u);
+  ShardExecutor exec(4);
+  const ShardTicket one{5, 0, 0, ShardTicketKind::kUnit};
+  SlotTask task;
+  exec.RunTickets(&task, &one, 1);
+  EXPECT_EQ(task.shard, 5u);
+  EXPECT_EQ(task.slot, 0u);
 }
 
 TEST(ShardExecutorTest, MoreShardsThanWorkersAndViceVersa) {
   ShardExecutor exec(8);
   CountingTask wide(64);
-  exec.Run(&wide, 64);
+  RunUnits(exec, &wide, UnitTickets(64));
   for (uint32_t s = 0; s < 64; ++s) {
     EXPECT_EQ(wide.count(s), 1u);
   }
   CountingTask narrow(2);
-  exec.Run(&narrow, 2);
+  RunUnits(exec, &narrow, UnitTickets(2));
   EXPECT_EQ(narrow.count(0), 1u);
   EXPECT_EQ(narrow.count(1), 1u);
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -122,6 +123,39 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
   }
 }
 
+TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
+  // A unit's timing record carries the shards it covers in v1; a record
+  // from a file written before work units has v1 = 0 and timed one shard.
+  // The live fold and the offline reader (through a file) agree on both.
+  TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.retain_with_sinks = true;
+  LiveAggregator agg;  // Declared before the domain: sinks outlive it.
+  TraceDomain domain(tcfg);
+  domain.AddSink(&agg);
+  domain.EnsureWriters(2);
+  domain.ring(1)->Emit(0, RecordKind::kShardTiming, 3, 1, 0, 400, 0);
+  domain.ring(1)->Emit(0, RecordKind::kShardTiming, 4, 1, 0, 600, 5);
+  domain.FlushFrame();
+
+  const std::string path = ::testing::TempDir() + "shard_timing_units.bin";
+  ASSERT_TRUE(domain.WriteFile(path));
+  TraceReader reader;
+  std::string error;
+  ASSERT_TRUE(TraceReader::LoadFile(path, &reader, &error)) << error;
+  std::remove(path.c_str());
+
+  const auto offline = reader.WorkerLoads();
+  ASSERT_EQ(offline.size(), 1u);
+  EXPECT_EQ(offline[0].worker, 1u);
+  EXPECT_EQ(offline[0].shard_runs, 6u);
+  EXPECT_EQ(offline[0].busy_ns, 1000u);
+  const auto live = agg.WorkerLoads();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].shard_runs, 6u);
+  EXPECT_EQ(live[0].busy_ns, 1000u);
+}
+
 // -- Window mechanics -------------------------------------------------------------
 
 TEST(LiveAggregatorTest, WindowsCloseOnFrameCadenceWithEwmaFold) {
@@ -191,8 +225,8 @@ TEST(LiveAggregatorTest, WorkerHistogramsTrackBusyAndIdleWindows) {
 TEST(LiveAggregatorTest, AttachResetsForFreshEpoch) {
   TelemetryConfig tcfg;
   tcfg.enabled = true;
+  LiveAggregator agg;  // Declared before the domain: sinks outlive it.
   TraceDomain domain(tcfg);
-  LiveAggregator agg;
   agg.OnRecord(Rec(RecordKind::kShardBatch, 0, 999, 0));
   EXPECT_EQ(agg.TotalTapFlow(), 999);
   domain.AddSink(&agg);  // OnAttach resets all state.

@@ -14,6 +14,7 @@
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
 #include "src/sim/thread_body.h"
+#include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_reader.h"
 
 namespace cinder {
@@ -183,27 +184,82 @@ TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
 }
 
 TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
+  // 400 phones of 3 taps and 3 reserves fill several work units, so every
+  // batch wakes the pool: one dispatch per unit, and the per-unit timing
+  // records still add up to one timed run per shard-batch.
+  Simulator sim(FleetConfig(3));
+  BuildPhones(sim, 400);
+  sim.Run(Duration::Millis(300));
+  sim.telemetry().FlushFrame();
+  TraceReader reader = TraceReader::FromDomain(sim.telemetry());
+  ASSERT_EQ(reader.dropped(), 0u);
+  const uint32_t units = sim.taps().unit_count();
+  ASSERT_GE(units, 2u);
+  ASSERT_EQ(sim.taps().shard_count(), 400u);
+
+  uint64_t shard_batches = 0;
+  for (const auto& s : reader.FlowByShard()) {
+    shard_batches += s.batches;
+  }
+  const uint64_t batches = shard_batches / 400;
+  ASSERT_GT(batches, 0u);
+  uint64_t dispatches = 0;
+  uint64_t shard_runs = 0;
+  for (const auto& w : reader.WorkerLoads()) {
+    dispatches += w.dispatches;
+    shard_runs += w.shard_runs;
+  }
+  EXPECT_EQ(dispatches, units * batches);
+  EXPECT_EQ(shard_runs, shard_batches);
+}
+
+TEST(TelemetryEngineTest, OneUnitFleetRunsInlineWithoutWakingThePool) {
+  // Six phones make one work unit: the batch runs on the caller, so the
+  // pool claims nothing and writes no dispatch record, while the unit's one
+  // timing record per batch still counts all six shard-batches.
   Simulator sim(FleetConfig(3));
   BuildPhones(sim, 6);
   sim.Run(Duration::Seconds(1));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
+  ASSERT_EQ(sim.taps().unit_count(), 1u);
 
-  uint64_t batches = 0;
+  uint64_t shard_batches = 0;
   for (const auto& s : reader.FlowByShard()) {
-    batches += s.batches;
+    shard_batches += s.batches;
   }
+  EXPECT_GT(shard_batches, 0u);
   uint64_t dispatches = 0;
   uint64_t shard_runs = 0;
   for (const auto& w : reader.WorkerLoads()) {
-    // Pool slots are 1..workers; slot 0 is the caller, which never claims
-    // tickets in pooled mode but may appear via timing records.
+    EXPECT_EQ(w.worker, 0u) << "only the caller runs a one-unit batch";
     dispatches += w.dispatches;
     shard_runs += w.shard_runs;
   }
-  // One dispatch and one timed shard run per shard-batch.
-  EXPECT_EQ(dispatches, batches);
-  EXPECT_EQ(shard_runs, batches);
+  EXPECT_EQ(dispatches, 0u);
+  EXPECT_EQ(shard_runs, shard_batches);
+}
+
+TEST(TelemetryEngineTest, FleetScaleDefaultRingsLoseNothing) {
+  // The default 2048-record rings are grown at plan build by the plan's
+  // per-batch record budget, so a 2000-phone fleet (about 6000 engine
+  // records per batch) streams losslessly at any worker count and the live
+  // fold equals the engine bit for bit.
+  for (int workers : {0, 4}) {
+    SimConfig cfg = FleetConfig(workers);
+    cfg.telemetry.spill_grow = false;
+    LiveAggregator agg;
+    Simulator sim(cfg);
+    sim.telemetry().AddSink(&agg);
+    BuildPhones(sim, 2000);
+    sim.Run(Duration::Millis(200));
+    sim.telemetry().FlushFrame();
+    EXPECT_EQ(sim.telemetry().ring_dropped(), 0u) << "workers=" << workers;
+    EXPECT_EQ(agg.TotalTapFlow(), sim.taps().total_tap_flow()) << "workers=" << workers;
+    EXPECT_EQ(agg.TotalDecayFlow(), sim.taps().total_decay_flow()) << "workers=" << workers;
+    EXPECT_GT(agg.TotalTapFlow(), 0);
+    sim.telemetry().RemoveSink(&agg);
+  }
 }
 
 TEST(TelemetryEngineTest, FineGrainedTapFlowsSumToEngineTotal) {

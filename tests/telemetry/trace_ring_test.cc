@@ -79,6 +79,54 @@ TEST(TraceRingTest, DrainThenRefillKeepsOrderAcrossWraparound) {
   EXPECT_EQ(ring.dropped(), 0u);
 }
 
+TEST(TraceRingTest, GrowSizesExactlyAndKeepsPendingRecordsInOrder) {
+  TraceRing ring(16);
+  for (int64_t i = 0; i < 20; ++i) {
+    ring.Append(Rec(i));  // Wraps: 4 dropped, 4..19 pending across the seam.
+  }
+  ring.Grow(50);
+  EXPECT_EQ(ring.capacity(), 50u);  // Exact, not the next power of two.
+  EXPECT_EQ(ring.size(), 16u);
+  for (int64_t i = 20; i < 54; ++i) {
+    ring.Append(Rec(i));
+  }
+  EXPECT_EQ(ring.dropped(), 4u);
+  ring.Grow(40);  // Never shrinks.
+  EXPECT_EQ(ring.capacity(), 50u);
+  const auto got = DrainV0(ring);
+  ASSERT_EQ(got.size(), 50u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], static_cast<int64_t>(4 + i));
+  }
+  // A full odd-sized ring still overwrites oldest-first.
+  for (int64_t i = 0; i < 53; ++i) {
+    ring.Append(Rec(i));
+  }
+  EXPECT_EQ(ring.dropped(), 7u);
+  const auto tail = DrainV0(ring);
+  ASSERT_EQ(tail.size(), 50u);
+  EXPECT_EQ(tail.front(), 3);
+  EXPECT_EQ(tail.back(), 52);
+}
+
+TEST(TelemetryDomainTest, EnsureWritersGrowsEveryRingByTheBatchBudget) {
+  TelemetryConfig cfg;
+  cfg.enabled = true;  // Default ring_bytes: 2048 records.
+  TraceDomain domain(cfg);
+  domain.Emit(RecordKind::kShardBatch, 0, 0, 0, 7, 0);  // Pending in ring 0.
+  domain.EnsureWriters(3, 500);
+  ASSERT_EQ(domain.writers(), 3u);
+  for (uint32_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(domain.ring(w)->capacity(), 2048u + 500u) << "ring " << w;
+  }
+  domain.EnsureWriters(2, 100);  // A smaller plan never shrinks a ring.
+  EXPECT_EQ(domain.writers(), 3u);
+  EXPECT_EQ(domain.ring(2)->capacity(), 2548u);
+  domain.FlushFrame();
+  ASSERT_EQ(domain.spill_size(), 2u);  // The pending record survived, plus the mark.
+  EXPECT_EQ(domain.dropped_records(), 0u);
+}
+
 TEST(TelemetryDomainTest, DisabledDomainIsInert) {
   TelemetryConfig cfg;
   cfg.enabled = false;

@@ -123,8 +123,8 @@ TEST(TraceSinkTest, SinksReceiveRecordsInsteadOfSpillRetention) {
 TEST(TraceSinkTest, RetainWithSinksStreamsAndRetains) {
   TelemetryConfig cfg = SmallConfig();
   cfg.retain_with_sinks = true;
+  CountingSink sink;  // Declared before the domain: sinks outlive it.
   TraceDomain domain(cfg);
-  CountingSink sink;
   domain.AddSink(&sink);
   EmitBatch(domain, 10, 0);
   EXPECT_EQ(sink.records, 11u);
@@ -132,12 +132,12 @@ TEST(TraceSinkTest, RetainWithSinksStreamsAndRetains) {
 }
 
 TEST(TraceSinkTest, MidRunAttachStartsFreshEpoch) {
+  CountingSink sink;  // Declared before the domain: sinks outlive it.
+  sink.keep = true;
   TraceDomain domain(SmallConfig());
   EmitBatch(domain, 4, 0);  // Frame 0, retained (no sinks yet).
   EmitBatch(domain, 4, 10);  // Frame 1.
 
-  CountingSink sink;
-  sink.keep = true;
   domain.AddSink(&sink);
   EXPECT_EQ(sink.attaches, 1);
   EXPECT_EQ(sink.first_seen_frame_seq, 2u);  // Next frame it will see.
@@ -287,11 +287,11 @@ TEST(TraceSinkTest, LongStreamingRunKeepsMemoryAtRingScaleWithZeroDrops) {
 }
 
 TEST(TraceSinkTest, MultipleSinksSeeTheSameStream) {
+  CountingSink counter;  // Declared before the domain: sinks outlive it.
   TraceDomain domain(SmallConfig());
   const std::string path = TempPath("multi_sink.bin");
   FileStreamSink file_sink;
   ASSERT_TRUE(file_sink.Open(path));
-  CountingSink counter;
   domain.AddSink(&file_sink);
   domain.AddSink(&counter);
   EmitBatch(domain, 7, 0);
