@@ -290,31 +290,21 @@ BENCHMARK(BM_TapBatchGiant)
     ->Args({32768, 2})
     ->Args({32768, 4});
 
-// The deep-ladder topology the range split cannot parallelize: one chain of
-// `depth` taps is a single component, but its plan is thousands of one-entry
-// demand groups with chained destinations — range tickets would defer nearly
-// every deposit, so splitting buys nothing and the uncut engine serializes
-// the whole chain as one work item. Articulation cuts bound every sub-shard
-// at 512 entries (depth/512 independent work items) and settle the severed
-// taps' transfers in one serial pass at the batch boundary. Every node is
-// pre-funded so all demand groups stay provably unconstrained and the lane
-// path runs (the fused fallback would re-serialize). workers=0 is the
-// sharded engine with cutting off (the whole-shard baseline); workers=1 runs
-// the cut pipeline serially in the caller, isolating the cut machinery's
-// overhead from pool parallelism.
+// The deep-ladder topology: one chain of `depth` taps is a single component
+// whose plan is thousands of one-entry demand groups with chained
+// destinations, so it runs as one whole-shard work item (range split off:
+// the split sizes by entry count and only slows a chain down). A regression
+// guard for deep components; every node is pre-funded so each batch moves
+// flow along the whole chain.
 void BM_TapBatchChain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
   Kernel k;
   Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
   battery->set_decay_exempt(true);
   TapEngine engine(&k, battery->id());
   engine.decay().enabled = false;
-  if (workers > 0) {
-    engine.set_cut_threshold(512);
-  }
-  ShardExecutor exec(workers > 0 ? workers : 1);
-  engine.EnableSharding(&exec);
+  engine.split().min_entries = 0;
+  engine.EnableSharding(nullptr);
   Reserve* prev = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "head");
   prev->Deposit(INT64_MAX / (2 * depth));
   for (int i = 0; i < depth; ++i) {
@@ -331,14 +321,7 @@ void BM_TapBatchChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_TapBatchChain)
-    ->ArgNames({"depth", "workers"})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({1024, 4})
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({8192, 4});
+BENCHMARK(BM_TapBatchChain)->ArgName("depth")->Arg(1024)->Arg(8192);
 
 void BM_TapBatchWithDecay(benchmark::State& state) {
   const int n_reserves = static_cast<int>(state.range(0));

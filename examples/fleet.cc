@@ -19,27 +19,16 @@
 // global battery: one phone's hoarding never subsidizes another.
 //
 // Build & run:  ./build/example_fleet [phones] [workers] [sim_seconds] [trace_file]
-//                                     [--chain DEPTH] [--cut-threshold N]
 // With a trace_file the stream can be watched from another terminal:
 //   ./build/energytop <trace_file>            (live windows + alarms)
 //   ./build/energytrace <trace_file> --follow (summary once finalized)
-//
-// --chain DEPTH adds one hub-and-chain component to the fleet: a relay pool
-// feeding DEPTH chained hops — the deep topology that is a single shard no
-// matter how many workers exist, unless articulation cutting
-// (--cut-threshold N, ExecConfig::shard_cut_threshold) severs it into
-// bounded sub-shards. The run prints the partitioner's summary
-// ("partition: ...") so the effect of the threshold is visible (and CI can
-// grep it).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/base/table_writer.h"
 #include "src/base/units.h"
 #include "src/core/tap_engine.h"
-#include "src/exec/shard_partitioner.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/health_monitor.h"
 #include "src/telemetry/live_aggregator.h"
@@ -77,47 +66,17 @@ void BuildPhone(Simulator& sim, int p) {
   taps.Register(back->id());
 }
 
-// The hub-and-chain component: one relay pool feeding `depth` chained hops.
-// Every hop is pre-seeded so the cut destinations stay provably
-// unconstrained and the boundary taps take the lane path, not the fused
-// fallback.
-void BuildRelayChain(Simulator& sim, int depth) {
-  Kernel& kernel = sim.kernel();
-  Container* home =
-      kernel.Create<Container>(kernel.root_container_id(), Label(Level::k1), "relay");
-  Reserve* pool = kernel.Create<Reserve>(home->id(), Label(Level::k1), "relay/pool");
-  pool->Deposit(ToQuantity(Energy::Joules(500.0)));
-  Reserve* prev = pool;
-  TapEngine& taps = sim.taps();
-  for (int i = 0; i < depth; ++i) {
-    Reserve* hop =
-        kernel.Create<Reserve>(home->id(), Label(Level::k1), "relay/hop" + std::to_string(i));
-    hop->Deposit(ToQuantity(Energy::Joules(4.0 + (i % 3))));
-    Tap* t = kernel.Create<Tap>(home->id(), Label(Level::k1), "relay/t" + std::to_string(i),
-                                prev->id(), hop->id());
-    t->SetConstantPower(Power::Milliwatts(1 + (i * 3) % 13));
-    taps.Register(t->id());
-    prev = hop;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int positional[3] = {200, 4, 30};  // phones, workers, sim_seconds.
   int n_positional = 0;
   const char* trace_file = nullptr;
-  int chain_depth = 0;
-  int cut_threshold = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chain") == 0 && i + 1 < argc) {
-      chain_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cut-threshold") == 0 && i + 1 < argc) {
-      cut_threshold = std::atoi(argv[++i]);
-    } else if (argv[i][0] == '-' && argv[i][1] == '-') {
+    if (argv[i][0] == '-' && argv[i][1] == '-') {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [phones] [workers] [sim_seconds] "
-                   "[trace_file] [--chain DEPTH] [--cut-threshold N]\n",
+                   "[trace_file]\n",
                    argv[i], argv[0]);
       return 2;
     } else if (n_positional < 3) {
@@ -134,7 +93,6 @@ int main(int argc, char** argv) {
   cfg.decay_half_life = Duration::Minutes(2);  // Visible decay in a short run.
   cfg.exec.tap_workers = workers;
   cfg.exec.decay_to_shard_root = true;  // Leakage returns to each phone's pool.
-  cfg.exec.shard_cut_threshold = static_cast<uint32_t>(cut_threshold);
   cfg.telemetry.enabled = true;
   // Streaming mode: sinks consume every frame as it flushes, the domain
   // retains nothing, and telemetry memory stays O(rings) no matter how long
@@ -176,16 +134,9 @@ int main(int argc, char** argv) {
   for (int p = 0; p < phones; ++p) {
     BuildPhone(sim, p);
   }
-  if (chain_depth > 0) {
-    BuildRelayChain(sim, chain_depth);
-  }
 
-  std::printf("fleet: %d phones, %d tap workers, %d simulated seconds%s", phones, workers,
+  std::printf("fleet: %d phones, %d tap workers, %d simulated seconds%s\n", phones, workers,
               sim_seconds, trace_file != nullptr ? " (streaming to file)" : "");
-  if (chain_depth > 0) {
-    std::printf(", relay chain depth %d (cut threshold %d)", chain_depth, cut_threshold);
-  }
-  std::printf("\n");
   const auto wall_start = std::chrono::steady_clock::now();
   sim.Run(Duration::Seconds(sim_seconds));
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -193,24 +144,8 @@ int main(int argc, char** argv) {
                            .count();
 
   TapEngine& taps = sim.taps();
-  if (chain_depth > 0) {
-    std::printf("shards: %u, wall time %lld ms\n", taps.shard_count(),
-                static_cast<long long>(wall_ms));
-  } else {
-    std::printf("shards: %u (expected %d), wall time %lld ms\n", taps.shard_count(), phones,
-                static_cast<long long>(wall_ms));
-  }
-  // The partitioner's summary: how many true components exist, how big the
-  // largest is, and what the cut threshold did about it. The fused flag
-  // reports the *last* batch's settlement mode.
-  if (const ShardPartitioner* part = taps.partitioner()) {
-    const PartitionStats& ps = part->stats();
-    std::printf(
-        "partition: components=%u largest_edges=%u cuts_made=%u boundary_taps=%u "
-        "cut_parents=%u fused_last_batch=%s\n",
-        ps.components, ps.largest_edges, ps.cuts_made, ps.boundary_taps,
-        taps.cut_parent_count(), taps.AnyCutParentFused() ? "yes" : "no");
-  }
+  std::printf("shards: %u (expected %d), wall time %lld ms\n", taps.shard_count(), phones,
+              static_cast<long long>(wall_ms));
 
   // Flush the scheduler records written since the last batch so the sinks
   // see the whole run, then read every statistic from the *live* aggregator

@@ -216,31 +216,4 @@ class SplitLaneBank {
   Quantity* outflow_base_ = nullptr;
 };
 
-// Per-cut accumulator lanes for articulation-tap component cutting: a
-// severed (boundary) tap runs its source-side mechanics in its own sub-shard
-// during the parallel passes but writes the moved amount here — one lane per
-// cut, each written by exactly one plan entry — instead of depositing into
-// its cross-shard destination. The serial settlement phase then applies every
-// lane in fixed cut order at the batch boundary (one epoch-batched deposit
-// per boundary tap). Lanes are grouped by source shard and the groups padded
-// to cache-line boundaries at plan build, so concurrent sub-shards never
-// share a line and no atomics are needed — the same discipline as
-// SplitLaneBank. Allocation happens only at Reset (plan rebuild).
-class BoundaryBank {
- public:
-  void Reset(uint32_t slots) {
-    size_ = slots;
-    amount_base_ = bank_internal::Align64(amount_, slots);
-  }
-  void Clear() { Reset(0); }
-  uint32_t size() const { return size_; }
-
-  Quantity* amounts() { return amount_base_; }
-
- private:
-  uint32_t size_ = 0;
-  std::vector<Quantity> amount_;
-  Quantity* amount_base_ = nullptr;
-};
-
 }  // namespace cinder

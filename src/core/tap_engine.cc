@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <tuple>
 #include <unordered_map>
 
 #include "src/base/log.h"
@@ -149,7 +148,6 @@ void TapEngine::RebuildPlan() {
   // the union-find.
   num_shards_ = 1;
   if (sharding_) {
-    partitioner_->set_cut_threshold(cut_threshold_);
     const ShardLayout& layout = partitioner_->Partition(*kernel_);
     num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
   }
@@ -368,7 +366,6 @@ void TapEngine::RebuildPlan() {
     stats_[s].taps = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
     stats_[s].decay_reserves = assigned[s];
   }
-  BuildCutPlan();
   BuildSplitPlan();
   BuildTicketTables();
 
@@ -398,20 +395,14 @@ void TapEngine::BuildUnits() {
     // kUnitEntries of plan entries plus reserves. The counts are the
     // partitioner's component sizes — topology-stable, so a label flap that
     // hides a few taps cannot move unit boundaries (or the padding) between
-    // rebuilds. Shards that run their own tickets — range-split candidates
-    // and members of a cut component (a parent with two or more member
-    // shards) — and shards that reach the threshold alone are units of one.
+    // rebuilds. Range-split candidates, which run their own tickets, and
+    // shards that reach the threshold alone are units of one.
     const ShardLayout& layout = partitioner_->layout();
-    std::vector<uint32_t> parent_members(layout.num_parents, 0);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      ++parent_members[layout.shard_parent[s]];
-    }
     uint32_t weight = 0;
     for (uint32_t s = 0; s < num_shards_; ++s) {
       const uint32_t w = layout.shard_edges[s] + layout.shard_reserves[s];
       const uint32_t entries = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-      if (w >= kUnitEntries || parent_members[layout.shard_parent[s]] > 1 ||
-          SplitCandidate(s, entries)) {
+      if (w >= kUnitEntries || SplitCandidate(s, entries)) {
         if (unit_shard_begin_.back() != s) {
           unit_shard_begin_.push_back(s);  // Close the open unit first.
         }
@@ -453,11 +444,7 @@ void TapEngine::BuildSplitPlan() {
   split_shards_.clear();
   split_k_ = split_.ranges;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    // Members of a cut parent never range-split: the cut threshold already
-    // bounds their plan sections, and their two passes must run as whole
-    // phases so the boundary settlement sits between them.
-    if (shard_cut_parent_[s] == kNoCut &&
-        SplitCandidate(s, shard_plan_begin_[s + 1] - shard_plan_begin_[s])) {
+    if (SplitCandidate(s, shard_plan_begin_[s + 1] - shard_plan_begin_[s])) {
       split_of_shard_[s] = static_cast<uint32_t>(split_shards_.size());
       split_shards_.push_back(s);
     }
@@ -576,9 +563,8 @@ void TapEngine::BuildTicketTables() {
   // unit index, so the order is deterministic): the executor starts the big
   // units immediately so one giant component never serializes the tail of
   // a batch. Pass 1 covers every shard — one ticket per plain unit, range
-  // tickets for a split shard, kCutPass1 for a cut member — and pass 2 is
-  // the split shards' ranges plus the cut members' kCutPass2 tickets. Empty
-  // tail ranges (entries < k) get no tickets.
+  // tickets for a split shard — and pass 2 is the split shards' ranges.
+  // Empty tail ranges (entries < k) get no tickets.
   tickets_pass1_.clear();
   tickets_pass2_.clear();
   const uint32_t nu = unit_count();
@@ -597,10 +583,7 @@ void TapEngine::BuildTicketTables() {
     const uint32_t s = unit_shard_begin_[u];
     const uint32_t count = unit_shard_begin_[u + 1] - s;
     const uint32_t split = split_of_shard_[s];
-    if (count == 1 && shard_cut_parent_[s] != kNoCut) {
-      tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass1});
-      tickets_pass2_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass2});
-    } else if (count == 1 && split != kNoSplit) {
+    if (count == 1 && split != kNoSplit) {
       const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (k + 1);
       uint32_t nonempty = 0;
       for (uint32_t r = 0; r < k; ++r) {
@@ -617,211 +600,14 @@ void TapEngine::BuildTicketTables() {
   }
 }
 
-void TapEngine::BuildCutPlan() {
-  cuts_.clear();
-  cut_parents_.clear();
-  parent_cut_begin_.clear();
-  parent_shards_.clear();
-  parent_shard_begin_.clear();
-  shard_cut_parent_.assign(num_shards_, kNoCut);
-  entry_cut_lane_.clear();
-  shard_lane_begin_.clear();
-  fused_entries_.clear();
-  fused_src_shard_.clear();
-  fused_dst_shard_.clear();
-  parent_fused_begin_.clear();
-  parent_fused_.clear();
-  boundary_.Clear();
-  if (!sharding_ || num_shards_ <= 1 || !partitioner_->valid()) {
-    return;
-  }
-  const ShardLayout& layout = partitioner_->layout();
-  if (layout.boundary_taps.empty()) {
-    return;
-  }
-  // Boundary entries: live plan entries whose destination landed in a
-  // different sub-shard. Only taps the partitioner severed can (an unsevered
-  // edge's endpoints share a sub-shard by construction); severed taps that
-  // are dangling or label-blocked have no entry and no flow, so they need no
-  // lane — a parent whose severed taps are all inert runs its members as
-  // plain independent shards.
-  const auto n = static_cast<uint32_t>(plan_src_.size());
-  struct CutSeed {
-    ObjectId tap;
-    uint32_t entry;
-    uint32_t parent;
-    uint32_t src_shard;
-    uint32_t dst_shard;
-  };
-  std::vector<CutSeed> seeds;
-  std::vector<uint32_t> entry_dst_shard(n, 0);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
-      uint32_t ds = partitioner_->ShardOfReserve(resolved_[i].dst->id());
-      if (ds == ShardLayout::kNoShard) {
-        ds = s;  // Unreachable: a plan entry's endpoints are a live tap edge.
-      }
-      entry_dst_shard[i] = ds;
-      if (ds != s) {
-        seeds.push_back({resolved_[i].tap->id(), i, layout.shard_parent[s], s, ds});
-      }
-    }
-  }
-  if (seeds.empty()) {
-    return;
-  }
-  // (parent, tap id) is the settlement order; seeds arrive grouped by source
-  // shard, so sort once here at rebuild.
-  std::sort(seeds.begin(), seeds.end(), [](const CutSeed& a, const CutSeed& b) {
-    return a.parent != b.parent ? a.parent < b.parent : a.tap < b.tap;
-  });
-  for (const CutSeed& sd : seeds) {
-    if (cut_parents_.empty() || cut_parents_.back() != sd.parent) {
-      cut_parents_.push_back(sd.parent);
-    }
-  }
-  const auto np = static_cast<uint32_t>(cut_parents_.size());
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const auto it =
-        std::lower_bound(cut_parents_.begin(), cut_parents_.end(), layout.shard_parent[s]);
-    if (it != cut_parents_.end() && *it == layout.shard_parent[s]) {
-      shard_cut_parent_[s] = static_cast<uint32_t>(it - cut_parents_.begin());
-    }
-  }
-  // Member sub-shards per parent, ascending shard index (the decay order at
-  // settlement).
-  parent_shard_begin_.assign(np + 1, 0);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (shard_cut_parent_[s] != kNoCut) {
-      ++parent_shard_begin_[shard_cut_parent_[s] + 1];
-    }
-  }
-  for (uint32_t p = 0; p < np; ++p) {
-    parent_shard_begin_[p + 1] += parent_shard_begin_[p];
-  }
-  parent_shards_.resize(parent_shard_begin_[np]);
-  {
-    std::vector<uint32_t> cursor(parent_shard_begin_.begin(), parent_shard_begin_.end() - 1);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      if (shard_cut_parent_[s] != kNoCut) {
-        parent_shards_[cursor[shard_cut_parent_[s]]++] = s;
-      }
-    }
-  }
-  // Lane layout: one lane per cut, grouped by source sub-shard with each
-  // group padded to cache-line boundaries, so concurrent kCutPass2 tickets
-  // (one per sub-shard, the sole writer of its slice) never share a line —
-  // SplitLaneBank's discipline.
-  constexpr uint32_t kLanePad = 64 / sizeof(Quantity);
-  std::vector<uint32_t> lane_count(num_shards_, 0);
-  for (const CutSeed& sd : seeds) {
-    ++lane_count[sd.src_shard];
-  }
-  shard_lane_begin_.assign(num_shards_ + 1, 0);
-  uint32_t next_lane = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    shard_lane_begin_[s] = next_lane;
-    next_lane += (lane_count[s] + kLanePad - 1) / kLanePad * kLanePad;
-  }
-  shard_lane_begin_[num_shards_] = next_lane;
-  boundary_.Reset(next_lane);
-  entry_cut_lane_.assign(n, kNoCut);
-  parent_cut_begin_.assign(np + 1, 0);
-  cuts_.reserve(seeds.size());
-  std::vector<uint32_t> lane_cursor(shard_lane_begin_.begin(), shard_lane_begin_.end() - 1);
-  uint32_t dense_parent = 0;
-  for (const CutSeed& sd : seeds) {
-    while (cut_parents_[dense_parent] != sd.parent) {
-      ++dense_parent;
-    }
-    BoundaryCut cut;
-    cut.entry = sd.entry;
-    cut.lane = lane_cursor[sd.src_shard]++;
-    cut.dst_slot = plan_dst_[sd.entry];
-    cut.dst_shard = sd.dst_shard;
-    // The demand group sourced at the destination, if the destination
-    // sources any taps: its constrainedness is what decides, per batch,
-    // whether deferring this cut's deposit is provably invisible.
-    cut.dst_group = kNoCut;
-    for (uint32_t g = shard_group_begin_[sd.dst_shard],
-                  ge = g + shard_group_count_[sd.dst_shard];
-         g < ge; ++g) {
-      if (group_src_slot_[g] == cut.dst_slot) {
-        cut.dst_group = g;
-        break;
-      }
-    }
-    entry_cut_lane_[sd.entry] = cut.lane;
-    ++parent_cut_begin_[dense_parent + 1];
-    cuts_.push_back(cut);
-  }
-  for (uint32_t p = 0; p < np; ++p) {
-    parent_cut_begin_[p + 1] += parent_cut_begin_[p];
-  }
-  // A cut parent's members share one decay sink — the parent's smallest-id
-  // wired reserve — so DecayConfig::to_shard_root routes leakage exactly
-  // like the uncut component would.
-  for (uint32_t p = 0; p < np; ++p) {
-    Reserve* best = nullptr;
-    uint32_t best_slot = kNoBankSlot;
-    for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      const uint32_t s = parent_shards_[j];
-      if (shard_sink_[s] != nullptr && (best == nullptr || shard_sink_[s]->id() < best->id())) {
-        best = shard_sink_[s];
-        best_slot = shard_sink_slot_[s];
-      }
-    }
-    for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      shard_sink_[parent_shards_[j]] = best;
-      shard_sink_slot_[parent_shards_[j]] = best_slot;
-    }
-  }
-  // Fused-order tables: every member entry of each cut parent in ascending
-  // tap-id order with its src/dst sub-shard, so the fallback can replay the
-  // uncut engine's serial schedule without touching the kernel at batch time.
-  parent_fused_begin_.assign(np + 1, 0);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (shard_cut_parent_[s] != kNoCut) {
-      parent_fused_begin_[shard_cut_parent_[s] + 1] +=
-          shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-    }
-  }
-  for (uint32_t p = 0; p < np; ++p) {
-    parent_fused_begin_[p + 1] += parent_fused_begin_[p];
-  }
-  fused_entries_.resize(parent_fused_begin_[np]);
-  fused_src_shard_.resize(parent_fused_begin_[np]);
-  fused_dst_shard_.resize(parent_fused_begin_[np]);
-  std::vector<std::tuple<ObjectId, uint32_t, uint32_t>> order;  // (tap, entry, shard)
-  for (uint32_t p = 0; p < np; ++p) {
-    order.clear();
-    for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      const uint32_t s = parent_shards_[j];
-      for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
-        order.emplace_back(resolved_[i].tap->id(), i, s);
-      }
-    }
-    std::sort(order.begin(), order.end());
-    uint32_t w = parent_fused_begin_[p];
-    for (const auto& e : order) {
-      fused_entries_[w] = std::get<1>(e);
-      fused_src_shard_[w] = std::get<2>(e);
-      fused_dst_shard_[w] = entry_dst_shard[std::get<1>(e)];
-      ++w;
-    }
-  }
-  parent_fused_.assign(np, 0);
-}
-
 void TapEngine::EmitPlanRecords() {
   // Rebuild-time, main thread: one writer ring per pool slot (the caller is
   // slot 0), each grown by every record this plan can emit in one batch —
   // any one worker may run every ticket, so no batch can overwrite a record.
   // Only the enabled kinds count: per shard a kShardBatch and up to two
   // decay-leak deposits (its sink's and its strays' battery deposit), per
-  // ticket a kDispatch and a timing record, per cut parent a
-  // kBoundarySettle. The opt-in per-tap and per-reserve kinds are not
-  // budgeted.
+  // ticket a kDispatch and a timing record. The opt-in per-tap and
+  // per-reserve kinds are not budgeted.
   const auto tickets = static_cast<uint32_t>(tickets_pass1_.size() + tickets_pass2_.size());
   uint32_t batch_records = 0;
   if (telem_->on(RecordKind::kShardBatch)) {
@@ -835,9 +621,6 @@ void TapEngine::EmitPlanRecords() {
   }
   if (telem_->on(RecordKind::kShardTiming) || telem_->on(RecordKind::kRangeTiming)) {
     batch_records += tickets;
-  }
-  if (telem_->on(RecordKind::kBoundarySettle)) {
-    batch_records += cut_parent_count();
   }
   telem_->EnsureWriters(
       executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1, batch_records);
@@ -920,7 +703,6 @@ void TapEngine::RunBatch(Duration dt) {
   telem_taps_ = (tmask & RecordBit(RecordKind::kTapTransfer)) != 0;
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
-  telem_boundary_ = (tmask & RecordBit(RecordKind::kBoundarySettle)) != 0;
   if (num_shards_ == 1 && split_shards_.empty()) {
     // One-shard plan (the unsharded engine, a one-component fleet): its one
     // unit inline, without the ticket loop and the scratch round trip. The
@@ -941,35 +723,25 @@ void TapEngine::RunBatch(Duration dt) {
     return;
   }
   // Phase A runs every pass-1 ticket: one per work unit (its shards' full
-  // batches), plus the demand passes of split shards' ranges and cut
-  // members. The pool wakes only for a batch of two or more tickets; a
-  // one-ticket batch runs inline with no executor round-trip at all.
+  // batches), plus the demand passes of split shards' ranges. The pool
+  // wakes only for a batch of two or more tickets; a one-ticket batch runs
+  // inline with no executor round-trip at all.
   RunPhase(tickets_pass1_);
-  if (!split_shards_.empty() || !cuts_.empty()) {
-    // Two-phase pipeline (range splits and articulation cuts share it).
-    // Serial reduce/classify: fold split lanes in range order into the
-    // canonical per-group demand, classify each split group, and arm the
-    // fused fallback for any cut parent whose boundary deferral is not
-    // provably invisible. Phase B: the split shards' unconstrained entries
-    // and the cut members' transfer passes (boundary entries drain into
-    // lanes), racing only on shard/range-exclusive state. Serial finalize:
-    // split deferred effects, the boundary settlement in fixed cut order,
-    // and the decay slices — all in fixed shard/range/cut order. The
-    // reduction and settlement orders, not the ticket interleaving, define
-    // every result bit.
+  if (!split_shards_.empty()) {
+    // Two-phase range-split pipeline. Serial reduce/classify: fold split
+    // lanes in range order into the canonical per-group demand and classify
+    // each split group. Phase B: the split shards' unconstrained entries,
+    // racing only on range-exclusive state. Serial finalize: deferred
+    // effects, the constrained tail and the decay slices, in fixed
+    // shard/range order. The reduction order, not the ticket interleaving,
+    // defines every result bit.
     const auto nu = static_cast<uint32_t>(split_shards_.size());
     for (uint32_t u = 0; u < nu; ++u) {
       ReduceSplitDemand(u);
     }
-    if (!cuts_.empty()) {
-      ClassifyCutParents();
-    }
     RunPhase(tickets_pass2_);
     for (uint32_t u = 0; u < nu; ++u) {
       FinalizeSplitShard(u);
-    }
-    if (!cuts_.empty()) {
-      SettleCutParents();
     }
   }
   // Deterministic merge, in shard order: engine totals, per-shard stats, and
@@ -1167,12 +939,6 @@ void TapEngine::RunTicket(const ShardTicket& t) {
       break;
     case ShardTicketKind::kPass2Range:
       RunPass2Range(t.split, t.range);
-      break;
-    case ShardTicketKind::kCutPass1:
-      RunCutPass1(t.shard);
-      break;
-    case ShardTicketKind::kCutPass2:
-      RunCutPass2(t.shard);
       break;
   }
 }
@@ -1467,291 +1233,6 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
     if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
       ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow,
                  sc.decay.flow);
-    }
-  }
-}
-
-void TapEngine::RunCutPass1(uint32_t shard) {
-  // RunShardTaps' exact pass 1 over one whole cut member sub-shard (cut
-  // members never range-split: the cut threshold already bounds their
-  // sections). Reads levels (frozen until phase B) and tap state, writes
-  // only this shard's want_/group slices and scratch, so any ticket
-  // interleaving is race-free.
-  scratch_[shard] = ShardScratch{};
-  const double dt_s = batch_dt_s_;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  const Quantity* const lvl = rbank_.levels();
-  const double* const tcarry = tbank_.carries();
-  const QuantityRate* const trate = tbank_.rates();
-  const double* const tfrac = tbank_.fractions();
-  const uint8_t* const tflags = tbank_.flags();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  std::fill(group_base_ + shard_group_begin_[shard], group_base_ + shard_group_begin_[shard + 1],
-            0.0);
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const uint8_t f = tflags[ti];
-    if ((f & TapStateBank::kEnabled) == 0) {
-      want_base_[ti] = -1.0;  // Wants are never negative, so -1 is a safe skip mark.
-      continue;
-    }
-    double want = tcarry[ti];
-    if ((f & TapStateBank::kProportional) != 0) {
-      const Quantity level = lvl[src_slot[i]] > 0 ? lvl[src_slot[i]] : 0;
-      want += static_cast<double>(level) * tfrac[ti] * dt_s;
-    } else {
-      want += static_cast<double>(trate[ti]) * dt_s;
-    }
-    want_base_[ti] = want;
-    group_base_[group_of[i]] += want;
-  }
-}
-
-void TapEngine::ClassifyCutParents() {
-  // Serial, between the phases. A boundary deposit can be deferred to the
-  // batch boundary iff nothing in the destination's sub-shard could observe
-  // the destination's level during pass 2 — and the only pass-2 observer of
-  // a level is the demand group sourced at it (its proportional scale and
-  // its clamp). The range split's unconstrained test — total demand provably
-  // within the opening level — proves scale == 1 and no clamp no matter when
-  // the deposit lands, so deferral is invisible. Any unsafe cut arms the
-  // whole parent's fused fallback: its pass 2 replays serially in tap-id
-  // order, the uncut engine's exact schedule. The group totals read here are
-  // whole-batch sums: cut members' phase-B decrements have not run yet.
-  const Quantity* const lvl = rbank_.levels();
-  const auto np = static_cast<uint32_t>(cut_parents_.size());
-  for (uint32_t p = 0; p < np; ++p) {
-    uint8_t fused = 0;
-    for (uint32_t c = parent_cut_begin_[p]; c < parent_cut_begin_[p + 1]; ++c) {
-      const uint32_t g = cuts_[c].dst_group;
-      if (g == kNoCut) {
-        continue;  // The destination sources no taps: deferral is invisible.
-      }
-      const double total = group_base_[g];
-      const Quantity level = lvl[group_src_slot_[g]];
-      const bool fast =
-          total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
-      if (!fast) {
-        fused = 1;
-        break;
-      }
-    }
-    parent_fused_[p] = fused;
-  }
-}
-
-void TapEngine::RunCutPass2(uint32_t shard) {
-  const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-  if (parent_fused_[shard_cut_parent_[shard]] != 0) {
-    // A cut destination in this parent was constrained: the serial fused
-    // fallback replays the whole parent's pass 2 at settlement instead.
-    return;
-  }
-  // Zero this sub-shard's lane slice (padding included) — each lane's sole
-  // writer is one boundary entry of this shard.
-  Quantity* const lanes = boundary_.amounts();
-  std::fill(lanes + shard_lane_begin_[shard], lanes + shard_lane_begin_[shard + 1], Quantity{0});
-  // RunShardTaps' exact pass 2, except boundary entries park the moved
-  // amount in their lane instead of depositing cross-shard; everything else
-  // this loop writes (source levels, intra-shard destinations, the decay
-  // list) is owned by this sub-shard.
-  TraceRing* const tap_trace =
-      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  Quantity shard_flow = 0;
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const double want = want_base_[ti];
-    if (want < 0.0) {
-      continue;
-    }
-    double& demand = group_base_[group_of[i]];
-    const Quantity src_level = lvl[src_slot[i]];
-    const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-    const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-    const double granted = want * scale;
-    demand -= want;
-    auto whole = static_cast<Quantity>(granted);
-    tcarry[ti] = granted - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    Quantity moved = src_level < whole ? src_level : whole;
-    if (moved <= 0) {
-      continue;
-    }
-    lvl[src_slot[i]] = src_level - moved;
-    const uint32_t lane = entry_cut_lane_[i];
-    if (lane != kNoCut) {
-      lanes[lane] = moved;  // Settlement deposits it at the batch boundary.
-    } else {
-      const uint32_t d = dst_slot[i];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + moved;
-      dep[d] += moved;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          decay_active_[shard].push_back(d);
-        }
-      }
-    }
-    ttrans[ti] += moved;
-    shard_flow += moved;
-    if (tap_trace != nullptr) {
-      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                      static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
-    }
-  }
-  scratch_[shard].tap_flow = shard_flow;
-  if (telem_shard_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot),
-                 0, NowNs() - t0, 1);
-    }
-  }
-}
-
-void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied) {
-  // The uncut engine's exact pass 2 for one parent component: every member
-  // entry in ascending tap-id order, direct deposits, running group-demand
-  // decrements. The parent's group totals are untouched (its kCutPass2
-  // tickets returned without running), so proportional shares under a
-  // constrained cut destination come out bit-identical to the uncut engine.
-  TraceRing* const tap_trace =
-      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  for (uint32_t j = parent_fused_begin_[parent]; j < parent_fused_begin_[parent + 1]; ++j) {
-    const uint32_t i = fused_entries_[j];
-    const uint32_t s = fused_src_shard_[j];
-    const uint32_t ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]);
-    const double want = want_base_[ti];
-    if (want < 0.0) {
-      continue;
-    }
-    double& demand = group_base_[group_of[i]];
-    const Quantity src_level = lvl[src_slot[i]];
-    const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-    const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-    const double granted = want * scale;
-    demand -= want;
-    auto whole = static_cast<Quantity>(granted);
-    tcarry[ti] = granted - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    Quantity moved = src_level < whole ? src_level : whole;
-    if (moved <= 0) {
-      continue;
-    }
-    lvl[src_slot[i]] = src_level - moved;
-    const uint32_t d = dst_slot[i];
-    const Quantity dst_level = lvl[d];
-    lvl[d] = dst_level + moved;
-    dep[d] += moved;
-    if (dst_level <= 0 && lvl[d] > 0) {
-      const uint8_t df = rflags[d];
-      if ((df & ReserveStateBank::kDecayWired) != 0 &&
-          (df & ReserveStateBank::kInDecayList) == 0) {
-        rflags[d] = df | ReserveStateBank::kInDecayList;
-        decay_active_[fused_dst_shard_[j]].push_back(d);
-      }
-    }
-    ttrans[ti] += moved;
-    scratch_[s].tap_flow += moved;
-    if (entry_cut_lane_[i] != kNoCut) {
-      *settled += moved;
-      ++*applied;
-    }
-    if (tap_trace != nullptr) {
-      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                      static_cast<uint16_t>(s & 0xffff), 0, moved, 0);
-    }
-  }
-}
-
-void TapEngine::SettleCutParents() {
-  // Serial, at the batch boundary: parents in ascending index, cuts in
-  // ascending tap id within a parent — a fixed order independent of worker
-  // count and ticket interleaving, so the settlement (like the split
-  // reduction) is part of the plan, not of the execution. Member decay runs
-  // after a parent's settlement, matching the uncut engine where a
-  // component's decay sees every tap deposit of the batch.
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  Quantity* const lanes = boundary_.amounts();
-  const auto np = static_cast<uint32_t>(cut_parents_.size());
-  for (uint32_t p = 0; p < np; ++p) {
-    Quantity settled = 0;
-    uint32_t applied = 0;
-    if (parent_fused_[p] != 0) {
-      RunFusedParent(p, &settled, &applied);
-    } else {
-      for (uint32_t c = parent_cut_begin_[p]; c < parent_cut_begin_[p + 1]; ++c) {
-        const BoundaryCut& cut = cuts_[c];
-        const Quantity m = lanes[cut.lane];
-        if (m <= 0) {
-          continue;
-        }
-        const uint32_t d = cut.dst_slot;
-        const Quantity dst_level = lvl[d];
-        lvl[d] = dst_level + m;
-        dep[d] += m;
-        if (dst_level <= 0 && lvl[d] > 0) {
-          const uint8_t df = rflags[d];
-          if ((df & ReserveStateBank::kDecayWired) != 0 &&
-              (df & ReserveStateBank::kInDecayList) == 0) {
-            rflags[d] = df | ReserveStateBank::kInDecayList;
-            decay_active_[cut.dst_shard].push_back(d);
-          }
-        }
-        settled += m;
-        ++applied;
-      }
-    }
-    for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      const uint32_t s = parent_shards_[j];
-      ShardScratch& sc = scratch_[s];
-      if (decay_.enabled) {
-        sc.decay = DecayShard(s);
-      }
-      if (telem_shard_batch_) {
-        if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-          ring->Emit(telem_->time_us(), RecordKind::kShardBatch, s, 0, 0, sc.tap_flow,
-                     sc.decay.flow);
-        }
-      }
-    }
-    if (telem_boundary_) {
-      if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-        ring->Emit(telem_->time_us(), RecordKind::kBoundarySettle, cut_parents_[p],
-                   static_cast<uint16_t>(parent_shard_begin_[p + 1] - parent_shard_begin_[p]),
-                   parent_fused_[p] != 0 ? kBoundarySettleFused : 0, settled, applied);
-      }
     }
   }
 }

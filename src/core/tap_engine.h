@@ -17,11 +17,11 @@
 // executor ticket runs a whole unit — every shard's two tap passes and decay
 // slice, back to back — serially, or on a ShardExecutor worker pool (largest
 // unit first, so one giant component never serializes the tail of a batch).
-// A shard the range split subdivides, and each member of a cut component,
-// is a unit of its own. Cross-shard state (flow totals, decay leakage into
-// the battery root or the per-shard sinks) is accumulated per shard and
-// merged after the batch in shard order, so results are bit-identical to
-// the unsharded engine regardless of worker count or unit layout.
+// A shard the range split subdivides is a unit of its own. Cross-shard
+// state (flow totals, decay leakage into the battery root or the per-shard
+// sinks) is accumulated per shard and merged after the batch in shard order,
+// so results are bit-identical to the unsharded engine regardless of worker
+// count or unit layout.
 //
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
@@ -104,21 +104,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   SplitConfig& split() { return split_; }
   const SplitConfig& split() const { return split_; }
 
-  // Articulation-tap component cutting: components with more tap edges than
-  // this are cut into bounded sub-shards at bridge taps (the partitioner's
-  // lowest-flow-first cut selection); severed taps drain into per-cut lanes
-  // during the parallel passes and a serial fixed-cut-order settlement
-  // applies the transfers at the batch boundary. 0 (default) disables. Only
-  // meaningful in sharded mode; results stay bit-identical to the uncut
-  // engine at any worker count. Takes effect on the next plan rebuild.
-  void set_cut_threshold(uint32_t threshold) {
-    if (cut_threshold_ != threshold) {
-      cut_threshold_ = threshold;
-      plan_valid_ = false;
-    }
-  }
-  uint32_t cut_threshold() const { return cut_threshold_; }
-
   // Registers a tap for batch processing. Returns false if the tap does not
   // exist or its endpoints are invalid / of mismatched resource kinds.
   bool Register(ObjectId tap_id);
@@ -165,23 +150,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   };
   const std::vector<ShardStats>& shard_stats() const { return stats_; }
 
-  // The partitioner (sharded mode only; null otherwise) — exposes
-  // PartitionStats and the cut layout for tools and tests.
-  const ShardPartitioner* partitioner() const { return partitioner_.get(); }
-  // Live boundary cuts / cut parent components in the current plan (0 when
-  // cutting is disabled or no component crossed the threshold).
-  uint32_t boundary_cut_count() const { return static_cast<uint32_t>(cuts_.size()); }
-  uint32_t cut_parent_count() const { return static_cast<uint32_t>(cut_parents_.size()); }
-  // True if any cut parent ran the fused serial fallback on the last batch
-  // (a cut destination's demand group was constrained, so deferring its
-  // deposit was not provably invisible).
-  bool AnyCutParentFused() const {
-    for (uint8_t f : parent_fused_) {
-      if (f != 0) return true;
-    }
-    return false;
-  }
-
   // -- Telemetry ----------------------------------------------------------------
   // Attaches a trace domain: batches emit per-shard flow and per-unit timing
   // records into per-worker rings and flush one frame per batch; plan
@@ -207,10 +175,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void OnObjectDeleted(ObjectId id, ObjectType type) override;
 
   // ShardTask (executor-facing): runs a unit ticket (its shards' tap passes
-  // and decay slices), a range ticket of a split shard, or a cut member's
-  // pass. Range tickets touch only their range's slice of the per-entry
-  // arrays plus private lanes, so any interleaving across workers is
-  // race-free.
+  // and decay slices) or a range ticket of a split shard. Range tickets
+  // touch only their range's slice of the per-entry arrays plus private
+  // lanes, so any interleaving across workers is race-free.
   void RunTicket(const ShardTicket& t) override;
 
   // ReserveDecayListener: a reserve became non-empty (or lost its exemption)
@@ -246,18 +213,17 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void RebuildPlan();
   // Groups consecutive shards into work units (unit_shard_begin_) from the
   // partitioner's component sizes and the per-shard entry counts in
-  // shard_plan_begin_; split candidates and cut members stand alone.
+  // shard_plan_begin_; split candidates stand alone.
   void BuildUnits();
   // Whether shard `s` with `entries` plan entries is big enough to range
-  // split (BuildSplitPlan also excludes live cut members).
+  // split.
   bool SplitCandidate(uint32_t s, uint32_t entries) const;
   // Range-split plan: selects oversized shards, computes (group-boundary
   // snapped) range bounds, per-range distinct-group lane maps, the
   // shared/exclusive destination classification, and the two ticket tables.
   void BuildSplitPlan();
   // The phase ticket tables (pass 1 / pass 2): one unit ticket per plain
-  // unit, plus split ranges and cut member passes, in largest-unit-first
-  // order.
+  // unit, plus split ranges, in largest-unit-first order.
   void BuildTicketTables();
   // Runs one phase's tickets: on the executor when there is one (it runs a
   // single ticket, or a one-worker pool, inline), else serially in order.
@@ -283,25 +249,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void ReduceSplitDemand(uint32_t split);
   void RunPass2Range(uint32_t split, uint32_t range);
   void FinalizeSplitShard(uint32_t split);
-  // Articulation-cut plan: detects boundary entries (src and dst sub-shards
-  // differ), builds the per-cut lane layout, the parent member / fused-order
-  // tables, and unifies each cut parent's decay sink. Runs after the shard
-  // tables exist and before BuildSplitPlan (cut members never range-split).
-  void BuildCutPlan();
-  // The cut execution pipeline (see RunBatch): phase A runs each cut
-  // member's demand pass; the serial classification between the phases
-  // checks every cut destination's demand group against its opening level
-  // (same formula as the range split's group_fast_) and arms the fused
-  // fallback per parent if any deferral is not provably invisible; phase B
-  // runs the transfer passes with boundary entries draining into lanes; the
-  // serial settlement applies lanes in fixed cut order (or runs the fused
-  // parents' pass 2 whole, serially, in tap-id order) and then the members'
-  // decay slices — decay after settlement, exactly like the uncut order.
-  void RunCutPass1(uint32_t shard);
-  void RunCutPass2(uint32_t shard);
-  void ClassifyCutParents();
-  void SettleCutParents();
-  void RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied);
   // Copies bank state back into every surviving attached object and detaches
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
@@ -414,9 +361,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
   std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
   // Ticket tables handed to the executor: pass 1 covers every shard (unit
-  // tickets, range tickets for split shards, kCutPass1 for cut members) in
-  // largest-unit-first order; pass 2 covers split shards' ranges and cut
-  // members.
+  // tickets, range tickets for split shards) in largest-unit-first order;
+  // pass 2 covers split shards' ranges.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).
@@ -425,44 +371,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> split_dst_stamp_;
   std::vector<uint32_t> split_dst_first_;
   std::vector<uint8_t> split_dst_shared_;
-
-  // -- Articulation cuts (bounded shard sizes, epoch-batched boundaries) --------
-  // Built with the plan when the partitioner severed bridge taps. A "cut
-  // parent" densely numbers the pre-cut components that have at least one
-  // live boundary entry; its member sub-shards run kCutPass1/kCutPass2
-  // tickets and settle serially at the batch boundary. cuts_ is ordered by
-  // (parent, tap id) — the settlement order — with parent_cut_begin_ the CSR
-  // over it. Each cut owns one BoundaryBank lane (entry_cut_lane_ maps plan
-  // entries; kNoCut for non-boundary entries), lanes grouped by source
-  // sub-shard with the groups cache-line padded (shard_lane_begin_), so a
-  // pass-2 ticket is the sole writer of its slice. The fused tables hold
-  // every entry of each cut parent in ascending tap-id order with src/dst
-  // sub-shard per entry — the serial fallback replays the uncut pass 2
-  // exactly when a cut destination's group is constrained.
-  static constexpr uint32_t kNoCut = UINT32_MAX;
-  struct BoundaryCut {
-    uint32_t entry = 0;      // Dense plan-entry index of the severed tap.
-    uint32_t lane = 0;       // BoundaryBank slot (single writer: its entry).
-    uint32_t dst_slot = 0;   // Destination reserve bank slot.
-    uint32_t dst_shard = 0;  // Destination sub-shard (for decay re-adds).
-    uint32_t dst_group = 0;  // Demand group sourced at the destination, or
-                             // kNoCut (then deferral is always invisible).
-  };
-  uint32_t cut_threshold_ = 0;
-  std::vector<BoundaryCut> cuts_;
-  std::vector<uint32_t> cut_parents_;         // Dense -> partitioner parent id.
-  std::vector<uint32_t> parent_cut_begin_;    // CSR over cuts_.
-  std::vector<uint32_t> parent_shards_;       // Member sub-shards, ascending.
-  std::vector<uint32_t> parent_shard_begin_;  // CSR over parent_shards_.
-  std::vector<uint32_t> shard_cut_parent_;    // shard -> dense parent or kNoCut.
-  std::vector<uint32_t> entry_cut_lane_;
-  std::vector<uint32_t> shard_lane_begin_;
-  BoundaryBank boundary_;
-  std::vector<uint32_t> fused_entries_;
-  std::vector<uint32_t> fused_src_shard_;
-  std::vector<uint32_t> fused_dst_shard_;
-  std::vector<uint32_t> parent_fused_begin_;  // CSR over fused_entries_.
-  std::vector<uint8_t> parent_fused_;         // Per batch: 1 = fused fallback.
 
   std::vector<ShardScratch> scratch_;
   std::vector<ShardStats> stats_;
@@ -482,7 +390,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool telem_taps_ = false;
   bool telem_decay_records_ = false;
   bool telem_reserve_ops_ = false;
-  bool telem_boundary_ = false;
 
   bool sharding_ = false;
   ShardExecutor* executor_ = nullptr;

@@ -1,9 +1,7 @@
 #include "src/exec/shard_partitioner.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "src/core/reserve.h"
 #include "src/core/tap.h"
 
 namespace cinder {
@@ -14,328 +12,6 @@ uint32_t ShardPartitioner::Find(uint32_t i) {
     i = parent_[i];
   }
   return i;
-}
-
-namespace {
-
-// A bridge of the component's multigraph, annotated for cut selection: the
-// flow weight ranks severing candidates (lowest severed first), the tap id
-// breaks ties so the choice is a pure function of the graph.
-struct BridgeInfo {
-  uint32_t pos = 0;  // Position in the component's edge list.
-  uint32_t block_a = 0;
-  uint32_t block_b = 0;
-  double flow = 0.0;
-  ObjectId tap = kInvalidObjectId;
-};
-
-// One connected piece of the bridge tree during the splitting loop.
-struct CutPart {
-  std::vector<uint32_t> blocks;
-  std::vector<uint32_t> bridges;  // Indices into the bridge list.
-  uint64_t weight = 0;
-  bool stuck = false;  // No useful bridge remains; stop considering it.
-};
-
-}  // namespace
-
-void ShardPartitioner::CutComponent(const Kernel& kernel, const std::vector<uint32_t>& edges) {
-  const auto ne = static_cast<uint32_t>(edges.size());
-  // Local vertex numbering, in first-appearance (edge) order — deterministic.
-  std::unordered_map<uint32_t, uint32_t> local;
-  local.reserve(ne * 2);
-  std::vector<uint32_t> ea(ne);  // Local source endpoint per edge.
-  std::vector<uint32_t> eb(ne);  // Local sink endpoint.
-  auto intern = [&](uint32_t reserve_index) {
-    return local.emplace(reserve_index, static_cast<uint32_t>(local.size())).first->second;
-  };
-  for (uint32_t k = 0; k < ne; ++k) {
-    const TapEdge& e = edges_[edges[k]];
-    ea[k] = intern(e.a);
-    eb[k] = intern(e.b);
-  }
-  const auto nv = static_cast<uint32_t>(local.size());
-
-  // CSR adjacency of the multigraph (both directions per edge).
-  std::vector<uint32_t> off(nv + 1, 0);
-  for (uint32_t k = 0; k < ne; ++k) {
-    ++off[ea[k] + 1];
-    ++off[eb[k] + 1];
-  }
-  for (uint32_t v = 0; v < nv; ++v) {
-    off[v + 1] += off[v];
-  }
-  std::vector<uint32_t> adj_edge(off[nv]);
-  std::vector<uint32_t> adj_to(off[nv]);
-  {
-    std::vector<uint32_t> cur(off.begin(), off.end() - 1);
-    for (uint32_t k = 0; k < ne; ++k) {
-      adj_edge[cur[ea[k]]] = k;
-      adj_to[cur[ea[k]]++] = eb[k];
-      adj_edge[cur[eb[k]]] = k;
-      adj_to[cur[eb[k]]++] = ea[k];
-    }
-  }
-
-  // Bridge finding: iterative DFS low-link. The arrival edge is skipped by
-  // *edge index*, not by endpoint, so a parallel edge between the same two
-  // reserves is seen as a back edge and the pair is (correctly) never a
-  // bridge.
-  std::vector<uint32_t> disc(nv, 0);
-  std::vector<uint32_t> low(nv, 0);
-  std::vector<uint8_t> is_bridge(ne, 0);
-  struct Frame {
-    uint32_t v;
-    uint32_t arrival;  // Edge index used to enter v (UINT32_MAX at a root).
-    uint32_t cur;      // Adjacency cursor.
-  };
-  std::vector<Frame> stack;
-  stack.reserve(nv);
-  uint32_t timer = 0;
-  for (uint32_t root = 0; root < nv; ++root) {
-    if (disc[root] != 0) {
-      continue;
-    }
-    disc[root] = low[root] = ++timer;
-    stack.push_back({root, UINT32_MAX, off[root]});
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.cur < off[f.v + 1]) {
-        const uint32_t k = adj_edge[f.cur];
-        const uint32_t u = adj_to[f.cur];
-        ++f.cur;
-        if (k == f.arrival) {
-          continue;  // Don't walk the arrival edge backwards.
-        }
-        if (disc[u] != 0) {
-          low[f.v] = std::min(low[f.v], disc[u]);
-        } else {
-          disc[u] = low[u] = ++timer;
-          stack.push_back({u, k, off[u]});
-        }
-      } else {
-        const Frame done = f;
-        stack.pop_back();
-        if (!stack.empty()) {
-          Frame& p = stack.back();
-          low[p.v] = std::min(low[p.v], low[done.v]);
-          if (low[done.v] > disc[p.v]) {
-            is_bridge[done.arrival] = 1;
-          }
-        }
-      }
-    }
-  }
-
-  // Blocks: connected components of the non-bridge subgraph. Removing every
-  // bridge leaves the 2-edge-connected pieces; the bridge tree below has one
-  // node per block.
-  std::vector<uint32_t> block(nv, UINT32_MAX);
-  uint32_t nb = 0;
-  std::vector<uint32_t> bfs;
-  for (uint32_t v = 0; v < nv; ++v) {
-    if (block[v] != UINT32_MAX) {
-      continue;
-    }
-    const uint32_t b = nb++;
-    block[v] = b;
-    bfs.assign(1, v);
-    while (!bfs.empty()) {
-      const uint32_t x = bfs.back();
-      bfs.pop_back();
-      for (uint32_t c = off[x]; c < off[x + 1]; ++c) {
-        if (is_bridge[adj_edge[c]] != 0) {
-          continue;
-        }
-        const uint32_t u = adj_to[c];
-        if (block[u] == UINT32_MAX) {
-          block[u] = b;
-          bfs.push_back(u);
-        }
-      }
-    }
-  }
-
-  // Static block weights: every edge (bridge or not) counts at its *source*
-  // endpoint's block — exactly the plan-section entry the engine will place
-  // there — so part weights are plain sums over member blocks.
-  std::vector<uint64_t> weight(nb, 0);
-  for (uint32_t k = 0; k < ne; ++k) {
-    ++weight[block[ea[k]]];
-  }
-
-  // Bridge list with cut-selection keys. Flow is the tap's steady rate at
-  // partition time: the constant rate, or fraction x current source level for
-  // proportional taps. Severing prefers the lowest flow, so the settlement
-  // lane carries as little cross-shard traffic as possible.
-  std::vector<BridgeInfo> bridges;
-  for (uint32_t k = 0; k < ne; ++k) {
-    if (is_bridge[k] == 0) {
-      continue;
-    }
-    BridgeInfo info;
-    info.pos = k;
-    info.block_a = block[ea[k]];
-    info.block_b = block[eb[k]];
-    info.tap = edges_[edges[k]].tap;
-    const Tap* tap = kernel.LookupTyped<Tap>(info.tap);
-    if (tap != nullptr) {
-      if (tap->tap_type() == TapType::kProportional) {
-        const Reserve* src = kernel.LookupTyped<Reserve>(tap->source());
-        const Quantity level = src != nullptr && src->level() > 0 ? src->level() : 0;
-        info.flow = tap->fraction_per_sec() * static_cast<double>(level);
-      } else {
-        info.flow = static_cast<double>(tap->rate_per_sec());
-      }
-    }
-    bridges.push_back(info);
-  }
-  if (bridges.empty()) {
-    return;  // 2-edge-connected: nothing can be cut.
-  }
-
-  // Splitting loop over the bridge tree: while some part is oversized, sever
-  // its lowest-(flow, tap id) bridge whose two sides are both at least half
-  // the threshold. The min-side rule is what keeps a star un-shreddable —
-  // every one of its bridges strands a weight-0 leaf — while a chain cuts
-  // cleanly into parts within [threshold/2, threshold].
-  const uint64_t bound = cut_threshold_;
-  const uint64_t min_side = std::max<uint64_t>(1, bound / 2);
-  std::vector<CutPart> parts(1);
-  parts[0].blocks.resize(nb);
-  for (uint32_t b = 0; b < nb; ++b) {
-    parts[0].blocks[b] = b;
-  }
-  parts[0].bridges.resize(bridges.size());
-  for (uint32_t i = 0; i < bridges.size(); ++i) {
-    parts[0].bridges[i] = i;
-  }
-  for (uint32_t b = 0; b < nb; ++b) {
-    parts[0].weight += weight[b];
-  }
-
-  // Scratch reused across iterations: block -> slot in the current part.
-  std::vector<uint32_t> slot_of(nb, UINT32_MAX);
-  std::vector<uint8_t> side_a(nb, 0);
-  while (true) {
-    uint32_t pick = UINT32_MAX;
-    for (uint32_t p = 0; p < parts.size(); ++p) {
-      if (parts[p].stuck || parts[p].weight <= bound) {
-        continue;
-      }
-      if (pick == UINT32_MAX || parts[p].weight > parts[pick].weight) {
-        pick = p;  // Largest first; ties keep the earlier (deterministic) part.
-      }
-    }
-    if (pick == UINT32_MAX) {
-      break;
-    }
-    CutPart& part = parts[pick];
-    const auto pb = static_cast<uint32_t>(part.blocks.size());
-    for (uint32_t i = 0; i < pb; ++i) {
-      slot_of[part.blocks[i]] = i;
-    }
-    // Part-local tree adjacency, then one rooted DFS for subtree weights:
-    // every bridge's two side weights fall out as (subtree, part - subtree).
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> adj(pb);
-    for (const uint32_t bi : part.bridges) {
-      const BridgeInfo& br = bridges[bi];
-      adj[slot_of[br.block_a]].push_back({bi, slot_of[br.block_b]});
-      adj[slot_of[br.block_b]].push_back({bi, slot_of[br.block_a]});
-    }
-    std::vector<uint64_t> subtree(pb, 0);
-    std::vector<uint32_t> up_bridge(pb, UINT32_MAX);  // Bridge toward the root.
-    std::vector<uint32_t> order;
-    order.reserve(pb);
-    {
-      std::vector<uint8_t> seen(pb, 0);
-      bfs.assign(1, 0);  // Root at the part's first block.
-      seen[0] = 1;
-      while (!bfs.empty()) {
-        const uint32_t x = bfs.back();
-        bfs.pop_back();
-        order.push_back(x);
-        for (const auto& [bi, u] : adj[x]) {
-          if (seen[u] == 0) {
-            seen[u] = 1;
-            up_bridge[u] = bi;
-            bfs.push_back(u);
-          }
-        }
-      }
-    }
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const uint32_t x = *it;
-      subtree[x] += weight[part.blocks[x]];
-      if (up_bridge[x] != UINT32_MAX) {
-        const BridgeInfo& br = bridges[up_bridge[x]];
-        const uint32_t other =
-            slot_of[br.block_a] == x ? slot_of[br.block_b] : slot_of[br.block_a];
-        subtree[other] += subtree[x];
-      }
-    }
-    // Candidate: the bridge whose severing leaves both sides >= min_side,
-    // lowest (flow, tap id) first.
-    uint32_t best = UINT32_MAX;
-    uint32_t best_slot = UINT32_MAX;  // Subtree-side slot of the best bridge.
-    for (uint32_t x = 0; x < pb; ++x) {
-      const uint32_t bi = up_bridge[x];
-      if (bi == UINT32_MAX) {
-        continue;
-      }
-      const uint64_t side = subtree[x];
-      const uint64_t other = part.weight - side;
-      if (side < min_side || other < min_side) {
-        continue;
-      }
-      if (best == UINT32_MAX || bridges[bi].flow < bridges[best].flow ||
-          (bridges[bi].flow == bridges[best].flow && bridges[bi].tap < bridges[best].tap)) {
-        best = bi;
-        best_slot = x;
-      }
-    }
-    if (best == UINT32_MAX) {
-      part.stuck = true;  // Star-like: no bridge buys a useful split.
-      for (const uint32_t b : part.blocks) {
-        slot_of[b] = UINT32_MAX;
-      }
-      continue;
-    }
-    severed_[edges[bridges[best].pos]] = 1;
-    // Split: BFS the subtree side from best_slot over the remaining bridges.
-    for (const uint32_t b : part.blocks) {
-      side_a[b] = 0;
-    }
-    bfs.assign(1, best_slot);
-    side_a[part.blocks[best_slot]] = 1;
-    while (!bfs.empty()) {
-      const uint32_t x = bfs.back();
-      bfs.pop_back();
-      for (const auto& [bi, u] : adj[x]) {
-        if (bi == best || side_a[part.blocks[u]] != 0) {
-          continue;
-        }
-        side_a[part.blocks[u]] = 1;
-        bfs.push_back(u);
-      }
-    }
-    CutPart rest;
-    CutPart sub;
-    for (const uint32_t b : part.blocks) {
-      (side_a[b] != 0 ? sub : rest).blocks.push_back(b);
-      slot_of[b] = UINT32_MAX;
-    }
-    for (const uint32_t bi : part.bridges) {
-      if (bi == best) {
-        continue;
-      }
-      (side_a[bridges[bi].block_a] != 0 ? sub : rest).bridges.push_back(bi);
-    }
-    sub.weight = subtree[best_slot];
-    rest.weight = part.weight - sub.weight;
-    parts[pick] = std::move(rest);
-    parts.push_back(std::move(sub));
-  }
 }
 
 const ShardLayout& ShardPartitioner::Partition(const Kernel& kernel) {
@@ -351,6 +27,7 @@ const ShardLayout& ShardPartitioner::Partition(const Kernel& kernel) {
   for (uint32_t i = 0; i < n; ++i) {
     parent_[i] = i;
   }
+  out_edges_.assign(n, 0);
 
   // `reserves` is id-ordered, so endpoint ids resolve by binary search.
   auto index_of = [&](ObjectId id) -> uint32_t {
@@ -361,13 +38,11 @@ const ShardLayout& ShardPartitioner::Partition(const Kernel& kernel) {
     return static_cast<uint32_t>(it - reserves.begin());
   };
 
-  // Resolve every tap edge once (tap-id order). `touched` marks edge
+  // Resolve and union every tap edge in one pass. `touched` marks edge
   // endpoints. Components only ever grow by merging edge endpoints, so every
   // member of an edge-bearing component — its root included — ends up
   // touched; untouched reserves get kNoShard (decay-only work the caller
   // spreads across shards round-robin).
-  edges_.clear();
-  edges_.reserve(taps.size());
   std::vector<bool> touched(n, false);
   for (ObjectId tap_id : taps) {
     const Tap* tap = kernel.LookupTyped<Tap>(tap_id);
@@ -378,99 +53,22 @@ const ShardLayout& ShardPartitioner::Partition(const Kernel& kernel) {
     }
     touched[a] = true;
     touched[b] = true;
-    edges_.push_back({a, b, tap_id});
-  }
-
-  // Pre-cut union-find: the true connected components ("parents").
-  for (const TapEdge& e : edges_) {
-    const uint32_t ra = Find(e.a);
-    const uint32_t rb = Find(e.b);
+    ++out_edges_[a];
+    const uint32_t ra = Find(a);
+    const uint32_t rb = Find(b);
     if (ra != rb) {
       // Union by smaller index so every root is its component's smallest
       // member, which makes the numbering below id-ordered for free.
       parent_[std::max(ra, rb)] = std::min(ra, rb);
     }
   }
-  std::vector<uint32_t> comp(n, ShardLayout::kNoShard);
-  uint32_t num_comps = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!touched[i]) {
-      continue;
-    }
-    const uint32_t root = Find(i);
-    if (comp[root] == ShardLayout::kNoShard) {
-      comp[root] = num_comps++;
-    }
-    comp[i] = comp[root];
-  }
-  std::vector<uint32_t> comp_edges(num_comps, 0);
-  for (const TapEdge& e : edges_) {
-    ++comp_edges[comp[e.a]];  // Edges count on their source side.
-  }
 
-  stats_ = PartitionStats{};
-  stats_.components = num_comps;
-  for (uint32_t c = 0; c < num_comps; ++c) {
-    stats_.largest_edges = std::max(stats_.largest_edges, comp_edges[c]);
-  }
-
-  // Cut every oversized component at its lowest-flow bridges.
-  severed_.assign(edges_.size(), 0);
-  if (cut_threshold_ > 0) {
-    std::vector<uint32_t> cut_slot(num_comps, UINT32_MAX);
-    std::vector<std::vector<uint32_t>> cut_edges;
-    for (uint32_t c = 0; c < num_comps; ++c) {
-      if (comp_edges[c] > cut_threshold_) {
-        cut_slot[c] = static_cast<uint32_t>(cut_edges.size());
-        cut_edges.emplace_back();
-        cut_edges.back().reserve(comp_edges[c]);
-      }
-    }
-    if (!cut_edges.empty()) {
-      for (uint32_t k = 0; k < edges_.size(); ++k) {
-        const uint32_t s = cut_slot[comp[edges_[k].a]];
-        if (s != UINT32_MAX) {
-          cut_edges[s].push_back(k);
-        }
-      }
-      for (const std::vector<uint32_t>& ce : cut_edges) {
-        uint32_t before = 0;
-        for (const uint32_t k : ce) {
-          before += severed_[k];
-        }
-        CutComponent(kernel, ce);
-        uint32_t cut = 0;
-        for (const uint32_t k : ce) {
-          cut += severed_[k];
-        }
-        if (cut > before) {
-          ++stats_.cuts_made;
-        }
-      }
-    }
-  }
-
-  // Final union-find over the surviving edges: severed taps keep their
-  // endpoints in separate sub-shards.
-  for (uint32_t i = 0; i < n; ++i) {
-    parent_[i] = i;
-  }
-  for (uint32_t k = 0; k < edges_.size(); ++k) {
-    if (severed_[k] != 0) {
-      continue;
-    }
-    const uint32_t ra = Find(edges_[k].a);
-    const uint32_t rb = Find(edges_[k].b);
-    if (ra != rb) {
-      parent_[std::max(ra, rb)] = std::min(ra, rb);
-    }
-  }
-
-  // Number shards by smallest reserve id in the (post-cut) component —
-  // deterministic across machines and worker counts. The root is visited
-  // first (it is the smallest touched index of its component), so it claims
-  // the shard number.
+  // Number shards by smallest reserve id in the component — deterministic
+  // across machines and worker counts. The root is visited first (it is the
+  // smallest touched index of its component), so it claims the shard number.
   layout_.reserve_shard.assign(n, ShardLayout::kNoShard);
+  layout_.shard_edges.clear();
+  layout_.shard_reserves.clear();
   uint32_t next_shard = 0;
   for (uint32_t i = 0; i < n; ++i) {
     if (!touched[i]) {
@@ -479,38 +77,17 @@ const ShardLayout& ShardPartitioner::Partition(const Kernel& kernel) {
     const uint32_t root = Find(i);
     if (layout_.reserve_shard[root] == ShardLayout::kNoShard) {
       layout_.reserve_shard[root] = next_shard++;
+      layout_.shard_edges.push_back(0);
+      layout_.shard_reserves.push_back(0);
     }
-    layout_.reserve_shard[i] = layout_.reserve_shard[root];
+    const uint32_t s = layout_.reserve_shard[root];
+    layout_.reserve_shard[i] = s;
+    // Edges count on their source's shard: the plan section the engine
+    // builds there.
+    layout_.shard_edges[s] += out_edges_[i];
+    ++layout_.shard_reserves[s];
   }
   layout_.num_shards = next_shard;
-
-  // Shard -> pre-cut component, identity when nothing was severed. Component
-  // sizes: reserves per shard fall out of the labels just computed; edges
-  // count on their source's shard (the plan section the engine will build
-  // there — a severed tap runs in its source's sub-shard).
-  layout_.shard_parent.assign(next_shard, 0);
-  layout_.shard_reserves.assign(next_shard, 0);
-  layout_.shard_edges.assign(next_shard, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t s = layout_.reserve_shard[i];
-    if (s != ShardLayout::kNoShard) {
-      layout_.shard_parent[s] = comp[i];
-      ++layout_.shard_reserves[s];
-    }
-  }
-  layout_.num_parents = num_comps;
-  for (const TapEdge& e : edges_) {
-    ++layout_.shard_edges[layout_.reserve_shard[e.a]];
-  }
-
-  // Severed tap ids — edges_ is tap-id ordered, so this is already sorted.
-  layout_.boundary_taps.clear();
-  for (uint32_t k = 0; k < edges_.size(); ++k) {
-    if (severed_[k] != 0) {
-      layout_.boundary_taps.push_back(edges_[k].tap);
-    }
-  }
-  stats_.boundary_taps = static_cast<uint32_t>(layout_.boundary_taps.size());
 
   layout_.topology_epoch = kernel.topology_epoch();
   valid_ = true;

@@ -8,30 +8,13 @@
 // components are numbered by their smallest reserve id — so a layout computed
 // on any machine, with any worker count, is identical.
 //
-// Articulation-tap cutting (set_cut_threshold): a component with more tap
-// edges than the threshold is cut into sub-shards of bounded size by severing
-// bridge taps — taps whose removal disconnects the component. Severed taps
-// become *boundary taps*: the tap engine runs them in their source's
-// sub-shard but defers the cross-shard deposit into a per-cut lane, applied
-// in a serial fixed-cut-order settlement at the batch boundary, so sub-shards
-// stay race-free and results stay bit-identical to the uncut engine (see
-// docs/PERFORMANCE.md "PR 10"). Cut selection severs the lowest-flow bridges
-// first and refuses cuts that would strand a tiny side (min side below half
-// the threshold), so a pure fan-out star — every edge a bridge, but every cut
-// useless — is never shredded; the range split handles those instead. An
-// edge counts toward the side holding its *source* reserve, which is exactly
-// the plan-section size the engine will build, so the bound is the real one.
-//
 // The layout is recomputed lazily on the kernel *topology* epoch (reserve or
 // tap create/delete). Label changes, credential changes, and thread or
 // container churn invalidate the tap engine's flow plan but cannot change
 // which reserves are connected, so they deliberately do not invalidate the
 // layout. Unregistered or label-blocked taps still contribute their edge:
 // that can only merge shards that could legally have been split, which is
-// conservative and always correct. Cut selection reads tap flow rates (and,
-// for proportional taps, source levels) at partition time; those can drift
-// without an epoch bump, which only changes *which* deterministic layout the
-// next topology change computes — never the correctness of the current one.
+// conservative and always correct.
 #pragma once
 
 #include <cstdint>
@@ -56,27 +39,9 @@ struct ShardLayout {
   // state) untouched.
   std::vector<uint32_t> shard_edges;
   std::vector<uint32_t> shard_reserves;
-  // Cutting: the pre-cut component ("parent") each shard belongs to, indexed
-  // by shard. Identity when nothing was cut; a cut parent has >= 2 member
-  // shards. Parents are numbered by smallest reserve id, like shards, so the
-  // numbering is deterministic too.
-  std::vector<uint32_t> shard_parent;
-  uint32_t num_parents = 0;
-  // Severed tap ids, ascending. A severed tap's endpoints land in different
-  // shards; every other tap keeps both endpoints in one shard.
-  std::vector<ObjectId> boundary_taps;
   uint64_t topology_epoch = 0;
 
   static constexpr uint32_t kNoShard = UINT32_MAX;
-};
-
-// One partition's summary, for tools and acceptance checks (examples/fleet
-// prints it; the hub-and-chain CI smoke greps it).
-struct PartitionStats {
-  uint32_t components = 0;     // Pre-cut connected components.
-  uint32_t largest_edges = 0;  // Edge count of the largest pre-cut component.
-  uint32_t cuts_made = 0;      // Components that were actually cut.
-  uint32_t boundary_taps = 0;  // Severed taps across all cuts.
 };
 
 class ShardPartitioner {
@@ -90,43 +55,15 @@ class ShardPartitioner {
   // those round-robin).
   uint32_t ShardOfReserve(ObjectId reserve) const;
 
-  // Components with more tap edges than this are cut into bounded sub-shards
-  // at bridge taps; 0 (the default) disables cutting. Changing the value
-  // invalidates the cached layout — it changes which deterministic layout is
-  // computed, like the topology itself.
-  void set_cut_threshold(uint32_t threshold) {
-    if (cut_threshold_ != threshold) {
-      cut_threshold_ = threshold;
-      valid_ = false;
-    }
-  }
-  uint32_t cut_threshold() const { return cut_threshold_; }
-
   const ShardLayout& layout() const { return layout_; }
-  const PartitionStats& stats() const { return stats_; }
   bool valid() const { return valid_; }
 
  private:
-  // One resolved tap edge: reserve indices (into layout_.reserve_ids) plus
-  // the tap id, kept so cut selection can rank bridges by flow.
-  struct TapEdge {
-    uint32_t a = 0;  // Source reserve index.
-    uint32_t b = 0;  // Sink reserve index.
-    ObjectId tap = kInvalidObjectId;
-  };
-
   uint32_t Find(uint32_t i);
-  // Severs bridges of one oversized component until every part's edge weight
-  // is bounded (or no useful bridge remains). `edges` indexes edges_ members
-  // of the component; severed edges get severed_[edge] = 1.
-  void CutComponent(const Kernel& kernel, const std::vector<uint32_t>& edges);
 
   ShardLayout layout_;
-  PartitionStats stats_;
-  std::vector<uint32_t> parent_;  // Union-find scratch over reserve indices.
-  std::vector<TapEdge> edges_;    // Resolved edges, tap-id order.
-  std::vector<uint8_t> severed_;  // Parallel to edges_.
-  uint32_t cut_threshold_ = 0;
+  std::vector<uint32_t> parent_;     // Union-find scratch over reserve indices.
+  std::vector<uint32_t> out_edges_;  // Tap edges sourced at each reserve index.
   bool valid_ = false;
 };
 

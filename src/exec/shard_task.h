@@ -18,17 +18,12 @@ enum class ShardTicketKind : uint8_t {
   kUnit = 0,        // Shards [shard, shard + shards), each a full batch.
   kPass1Range = 1,  // Demand pass over [range) into a private lane slice.
   kPass2Range = 2,  // Transfer pass over the range's unconstrained entries.
-  // Sub-shards of a cut component (see ShardPartitioner cut selection) run
-  // their two tap passes as separate phases so the serial settlement between
-  // phase B and the merge can apply boundary-tap transfers in cut order:
-  kCutPass1 = 3,  // Demand pass of one whole sub-shard.
-  kCutPass2 = 4,  // Transfer pass; boundary deposits drain into lanes.
 };
 
 // One claimable piece of batch work. A kUnit ticket covers `shards`
 // consecutive shards starting at `shard`; the range kinds carry the
 // producer's dense split-slot index (`split`, its table of split shards) and
-// the range number within it; the cut kinds name one sub-shard.
+// the range number within it.
 struct ShardTicket {
   uint32_t shard = 0;
   uint32_t split = 0;

@@ -6,29 +6,6 @@ namespace cinder {
 
 SimConfig SimConfig::Normalized() const {
   SimConfig n = *this;
-  const ExecConfig defaults;
-  // A deprecated flat field set away from its default moves into `exec`
-  // unless the nested field was itself changed — then the nested value wins.
-  if (tap_workers != defaults.tap_workers && n.exec.tap_workers == defaults.tap_workers) {
-    n.exec.tap_workers = tap_workers;
-  }
-  if (decay_to_shard_root != defaults.decay_to_shard_root &&
-      n.exec.decay_to_shard_root == defaults.decay_to_shard_root) {
-    n.exec.decay_to_shard_root = decay_to_shard_root;
-  }
-  if (tap_split_threshold != defaults.tap_split_threshold &&
-      n.exec.tap_split_threshold == defaults.tap_split_threshold) {
-    n.exec.tap_split_threshold = tap_split_threshold;
-  }
-  if (tap_split_ranges != defaults.tap_split_ranges &&
-      n.exec.tap_split_ranges == defaults.tap_split_ranges) {
-    n.exec.tap_split_ranges = tap_split_ranges;
-  }
-  // Mirror back so legacy readers of the flat fields see effective values.
-  n.tap_workers = n.exec.tap_workers;
-  n.decay_to_shard_root = n.exec.decay_to_shard_root;
-  n.tap_split_threshold = n.exec.tap_split_threshold;
-  n.tap_split_ranges = n.exec.tap_split_ranges;
   // A zero quantum never advances the clock (Run would spin forever) and a
   // non-positive batch period never runs a batch.
   const SimConfig fallback;
@@ -65,7 +42,6 @@ Simulator::Simulator(SimConfig config)
   tap_engine_->decay().to_shard_root = config_.exec.decay_to_shard_root;
   tap_engine_->split().min_entries = config_.exec.tap_split_threshold;
   tap_engine_->split().ranges = config_.exec.tap_split_ranges;
-  tap_engine_->set_cut_threshold(config_.exec.shard_cut_threshold);
   if (config_.exec.tap_workers >= 1) {
     shard_executor_ = std::make_unique<ShardExecutor>(config_.exec.tap_workers);
     tap_engine_->EnableSharding(shard_executor_.get());

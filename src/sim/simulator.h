@@ -57,17 +57,6 @@ struct ExecConfig {
   // tap_workers >= 1.
   uint32_t tap_split_threshold = 4096;
   uint32_t tap_split_ranges = 8;
-  // Articulation-tap component cutting (PR 10): a connected component with
-  // more tap edges than this is cut at its lowest-flow bridge taps into
-  // sub-shards of bounded size; the severed taps settle through per-cut
-  // lanes in a serial fixed-order phase at each batch boundary, so results
-  // stay bit-identical to the uncut engine at any worker count
-  // (docs/PERFORMANCE.md "PR 10"). 0 (the default) disables cutting.
-  // Complements tap_split_threshold: the range split parallelizes wide
-  // components (fan-outs), cutting parallelizes deep ones (chains) the
-  // ranges cannot help because their demand groups straddle everything.
-  // Only meaningful with sharding (tap_workers >= 1 or decay_to_shard_root).
-  uint32_t shard_cut_threshold = 0;
   // K-quanta scheduler run plans: Run/RunUntil may precompute the pick
   // sequence for up to this many quanta at a time and replay it without
   // per-quantum PickNext scans, falling back to the single-quantum path the
@@ -100,19 +89,9 @@ struct SimConfig {
   // simulator owns (per-worker rings, record mask, spill).
   ExecConfig exec;
   TelemetryConfig telemetry;
-  // Deprecated flat aliases of the ExecConfig fields, kept so pre-ExecConfig
-  // callers compile and behave unchanged. Normalized() reconciles them: a
-  // flat field set away from its default is copied into `exec` unless the
-  // nested field was itself changed (the nested value wins), and the flat
-  // fields are then mirrored back so config() readers see effective values.
-  // New code should set `exec.*`.
-  int tap_workers = 0;
-  bool decay_to_shard_root = false;
-  uint32_t tap_split_threshold = 4096;
-  uint32_t tap_split_ranges = 8;
-  // The config the Simulator actually runs: alias reconciliation applied,
-  // and a non-positive quantum or tap_batch (which would never advance the
-  // clock or never run a batch) replaced by its default with a warning.
+  // The config the Simulator actually runs: a non-positive quantum or
+  // tap_batch (which would never advance the clock or never run a batch)
+  // replaced by its default with a warning.
   SimConfig Normalized() const;
 };
 
@@ -128,7 +107,7 @@ class Simulator final : public PowerSource {
   const SimConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   TapEngine& taps() { return *tap_engine_; }
-  // Null unless config.tap_workers >= 1.
+  // Null unless config.exec.tap_workers >= 1.
   ShardExecutor* shard_executor() { return shard_executor_.get(); }
   EnergyAwareScheduler& scheduler() { return *scheduler_; }
   // The simulator-owned trace domain (src/telemetry). Disabled unless

@@ -21,9 +21,6 @@ void TraceReader::Index() {
   kind_counts_.assign(kNumKinds, 0);
   total_tap_flow_ = 0;
   total_decay_flow_ = 0;
-  boundary_flow_ = 0;
-  boundary_lanes_ = 0;
-  fused_settles_ = 0;
   frames_ = 0;
   ring_dropped_ = 0;
   for (const TraceRecord& r : records_) {
@@ -33,12 +30,6 @@ void TraceReader::Index() {
     if (IsKind(r, RecordKind::kShardBatch)) {
       total_tap_flow_ += r.v0;
       total_decay_flow_ += r.v1;
-    } else if (IsKind(r, RecordKind::kBoundarySettle)) {
-      boundary_flow_ += r.v0;
-      boundary_lanes_ += static_cast<uint64_t>(r.v1);
-      if ((r.flags & kBoundarySettleFused) != 0) {
-        ++fused_settles_;
-      }
     } else if (IsKind(r, RecordKind::kFrameMark)) {
       ++frames_;
       // Recover the ring-drop share from the marks' cumulative v1 stamp
@@ -245,11 +236,6 @@ std::vector<TraceReader::ThreadCharge> TraceReader::CpuChargeByThread() const {
     out.push_back(t);
   }
   return out;
-}
-
-uint64_t TraceReader::BoundarySettles() const {
-  return kind_counts_.empty() ? 0
-                              : kind_counts_[static_cast<size_t>(RecordKind::kBoundarySettle)];
 }
 
 uint64_t TraceReader::SchedPicks() const {

@@ -118,23 +118,6 @@ class TraceReader {
   uint64_t SchedPlanBuilds() const;
   uint64_t SchedPlannedQuanta() const;
 
-  // -- Boundary settlement (articulation cuts) -------------------------------------
-  // Aggregates of the kBoundarySettle records — one per cut parent component
-  // per batch when the partitioner is cutting oversized components. Zero on
-  // streams from runs without cuts.
-  uint64_t BoundarySettles() const;
-  // Summed boundary nJ settled at batch boundaries (v0). This flow is a
-  // subset of TotalTapFlow(): boundary taps' transfers are already counted
-  // in their members' kShardBatch records; this measures how much of the
-  // total crossed a cut.
-  int64_t BoundaryFlow() const { return boundary_flow_; }
-  // Summed boundary taps settled (v1): lane applications on the lane path,
-  // boundary entries replayed on the fused path.
-  uint64_t BoundaryLanesApplied() const { return boundary_lanes_; }
-  // Settles where the parent ran the fused serial fallback
-  // (kBoundarySettleFused) instead of lane settlement.
-  uint64_t FusedSettles() const { return fused_settles_; }
-
   // -- Fine-grained tap attribution (kTapTransfer + kPlanTap opt-in) ---------------
   struct TapFlow {
     uint64_t tap_id = 0;
@@ -155,9 +138,6 @@ class TraceReader {
   std::vector<uint64_t> kind_counts_;
   int64_t total_tap_flow_ = 0;
   int64_t total_decay_flow_ = 0;
-  int64_t boundary_flow_ = 0;
-  uint64_t boundary_lanes_ = 0;
-  uint64_t fused_settles_ = 0;
   uint64_t frames_ = 0;
   uint64_t dropped_ = 0;
   uint64_t ring_dropped_ = 0;

@@ -34,11 +34,11 @@ enum class RecordKind : uint8_t {
   // total_tap_flow()/total_decay_flow() bit-for-bit.
   kShardBatch = 1,
   // Per work unit per batch (a run of consecutive shards one thread runs
-  // back to back; a cut member is a unit of one): actor = the unit's first
-  // shard, v1 = shards covered, v0 = wall nanoseconds the unit took,
-  // aux = worker slot that ran it. A range-split shard writes kRangeTiming
-  // instead. Files written before units carry one record per shard with
-  // v1 = 0; ShardsTimed reads that as 1.
+  // back to back): actor = the unit's first shard, v1 = shards covered,
+  // v0 = wall nanoseconds the unit took, aux = worker slot that ran it.
+  // A range-split shard writes kRangeTiming instead. Files written before
+  // units carry one record per shard with v1 = 0; ShardsTimed reads that
+  // as 1.
   kShardTiming = 2,
   // Per range pass of a split shard: actor = shard index,
   // aux = (worker slot << 8) | range index, flags = pass (1 or 2),
@@ -86,15 +86,8 @@ enum class RecordKind : uint8_t {
   // SchedPlanEnd reason the plan stopped early (or ran the full horizon).
   // Volume is O(builds), so it stays in the default mask.
   kSchedPlanBuild = 14,
-  // One per cut parent component per batch (sharded mode with articulation
-  // cuts): actor = parent component index, v0 = boundary nJ settled at the
-  // batch boundary, v1 = boundary taps settled (lanes applied),
-  // aux = member sub-shards, flags = kBoundarySettleFused when the parent
-  // fell back to the fused serial pass-2 (a cut destination's demand group
-  // was constrained, so deferral was not provably invisible). Volume is
-  // O(cut parents) per batch, so it stays in the default mask.
-  kBoundarySettle = 15,
-  kKindCount = 16,
+  // 15 was kBoundarySettle (articulation cuts, since removed): retired, never reuse it.
+  kKindCount = 15,
 };
 
 // flags values for kReserveDeposit / kReserveWithdraw.
@@ -104,10 +97,6 @@ inline constexpr uint8_t kReserveOpDecayLeak = 2;
 
 // flags value for kSchedPick: the quantum was replayed from a run plan.
 inline constexpr uint8_t kSchedPickPlanned = 1;
-
-// flags value for kBoundarySettle: the parent ran the fused serial fallback
-// instead of lane settlement this batch.
-inline constexpr uint8_t kBoundarySettleFused = 1;
 
 // flags values for kSchedPlanBuild: why the plan ended where it did.
 inline constexpr uint8_t kSchedPlanEndHorizon = 0;   // Ran the requested K.

@@ -220,58 +220,6 @@ TEST(HotPathAllocTest, RangeSplitSteadyStateIsAllocationFree) {
   EXPECT_GT(engine.total_decay_flow(), 0);
 }
 
-TEST(HotPathAllocTest, CutSettlementSteadyStateIsAllocationFree) {
-  // Articulation cuts: the lanes, cut tables, fused-replay tables, and the
-  // per-shard decay lists are all sized at plan build, so the whole cut
-  // pipeline — parallel sub-shard passes, lane settlement, the fused serial
-  // fallback, and the decay-flip pushes — must run alloc-free after the
-  // first batch. Two chain components: one funded (stays on the lane path)
-  // and one starved with rates growing downstream (its parent arms the
-  // fused fallback every batch), so both settlement modes are measured.
-  Kernel k;
-  Reserve* battery = k.Create<Reserve>(
-      k.root_container_id(), Label(Level::k1), "battery");
-  battery->set_decay_exempt(true);
-  ShardExecutor exec(2);
-  TapEngine engine(&k, battery->id());
-  engine.set_cut_threshold(8);
-  engine.EnableSharding(&exec);
-  engine.decay().enabled = true;
-  auto build_chain = [&](int depth, bool charged) {
-    Reserve* prev = k.Create<Reserve>(
-        k.root_container_id(), Label(Level::k1), "head");
-    prev->Deposit(INT64_MAX / 8);
-    for (int i = 1; i <= depth; ++i) {
-      Reserve* next = k.Create<Reserve>(
-          k.root_container_id(), Label(Level::k1), "hop");
-      if (charged) {
-        next->Deposit(INT64_MAX / 256);
-      }
-      Tap* tap = k.Create<Tap>(k.root_container_id(), Label(Level::k1), "t",
-                               prev->id(), next->id());
-      tap->SetConstantPower(Power::Milliwatts(charged ? 1 + (i * 5) % 17 : 5 + i));
-      ASSERT_TRUE(engine.Register(tap->id()));
-      prev = next;
-    }
-  };
-  build_chain(48, /*charged=*/true);
-  build_chain(32, /*charged=*/false);
-  for (int i = 0; i < 10; ++i) {
-    engine.RunBatch(Duration::Millis(10));
-  }
-  ASSERT_GT(engine.boundary_cut_count(), 0u);
-  ASSERT_EQ(engine.cut_parent_count(), 2u);
-  ASSERT_TRUE(engine.AnyCutParentFused());  // The starved chain.
-  const unsigned long long before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    engine.RunBatch(Duration::Millis(10));
-  }
-  EXPECT_EQ(g_allocations.load(), before);
-  ASSERT_TRUE(engine.AnyCutParentFused());
-  EXPECT_GT(engine.total_tap_flow(), 0);
-  EXPECT_GT(engine.total_decay_flow(), 0);
-}
-
 TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
   // The telemetry acceptance bar: with every record kind enabled and the
   // ring/spill deliberately undersized — so steady state continually takes

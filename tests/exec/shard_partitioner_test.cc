@@ -116,131 +116,29 @@ TEST_F(ShardPartitionerTest, DanglingTapEndpointContributesNoEdge) {
   EXPECT_EQ(partitioner_.ShardOfReserve(a->id()), ShardLayout::kNoShard);
 }
 
-// -- Articulation-tap cutting ---------------------------------------------------
-
-// A chain is the canonical cuttable shape: every edge is a bridge and both
-// sides of a mid-chain cut carry real weight. At threshold 8 a 40-edge chain
-// must come back as bounded sub-shards, all belonging to one parent.
-TEST_F(ShardPartitionerTest, ChainComponentIsCutIntoBoundedSubShards) {
-  std::vector<Reserve*> nodes;
-  for (int i = 0; i < 41; ++i) {
-    nodes.push_back(NewReserve("n"));
-  }
-  for (int i = 0; i < 40; ++i) {
-    NewTap(nodes[i]->id(), nodes[i + 1]->id());
-  }
-  partitioner_.set_cut_threshold(8);
-
-  const ShardLayout& layout = partitioner_.Partition(k_);
-  EXPECT_GE(layout.num_shards, 5u);
-  for (uint32_t s = 0; s < layout.num_shards; ++s) {
-    EXPECT_LE(layout.shard_edges[s], 8u) << "shard " << s;
-    EXPECT_EQ(layout.shard_parent[s], 0u);
-  }
-  EXPECT_EQ(layout.num_parents, 1u);
-  EXPECT_EQ(layout.boundary_taps.size(), layout.num_shards - 1);
-  const PartitionStats& stats = partitioner_.stats();
-  EXPECT_EQ(stats.components, 1u);
-  EXPECT_EQ(stats.largest_edges, 40u);
-  EXPECT_EQ(stats.cuts_made, 1u);
-  EXPECT_EQ(stats.boundary_taps, layout.boundary_taps.size());
-}
-
-// Cut selection is (flow, tap id)-ordered over the *eligible* bridges: on a
-// 6-edge chain at threshold 4 only the three middle edges leave both sides
-// at least min_side = 2, and making the middle one the cheapest must sever
-// exactly it — one cut, sides of weight 3 and 3, both within the bound.
-TEST_F(ShardPartitionerTest, LowestFlowBridgesAreSeveredFirst) {
-  std::vector<Reserve*> nodes;
-  for (int i = 0; i < 7; ++i) {
-    nodes.push_back(NewReserve("n"));
-  }
-  std::vector<Tap*> taps;
-  for (int i = 0; i < 6; ++i) {
-    Tap* t = NewTap(nodes[i]->id(), nodes[i + 1]->id());
-    t->SetConstantPower(Power::Milliwatts(i == 2 ? 1 : 5));
-    taps.push_back(t);
-  }
-  partitioner_.set_cut_threshold(4);
-
-  const ShardLayout& layout = partitioner_.Partition(k_);
-  ASSERT_EQ(layout.boundary_taps.size(), 1u);
-  EXPECT_EQ(layout.boundary_taps[0], taps[2]->id());
-  EXPECT_EQ(layout.num_shards, 2u);
-  EXPECT_EQ(layout.shard_edges[0], 3u);
-  EXPECT_EQ(layout.shard_edges[1], 3u);
-  EXPECT_EQ(partitioner_.ShardOfReserve(nodes[0]->id()),
-            partitioner_.ShardOfReserve(nodes[2]->id()));
-  EXPECT_NE(partitioner_.ShardOfReserve(nodes[2]->id()),
-            partitioner_.ShardOfReserve(nodes[3]->id()));
-}
-
-// A pure fan-out star is over the threshold and every edge is a bridge, but
-// severing any of them strands a weight-0 leaf. The min-side rule must
-// refuse every cut and leave the star whole (the range split's job instead).
-TEST_F(ShardPartitionerTest, StarComponentIsNotCut) {
+// Component sizes feed the engine's work units and range split: every edge
+// counts once, on its source reserve's shard, and every touched reserve
+// counts on its own.
+TEST_F(ShardPartitionerTest, ComponentSizesCountEdgesAndReservesPerShard) {
   Reserve* hub = NewReserve("hub");
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 5; ++i) {
     NewTap(hub->id(), NewReserve("leaf")->id());
   }
-  partitioner_.set_cut_threshold(8);
+  Reserve* a = NewReserve("a");
+  Reserve* b = NewReserve("b");
+  Reserve* c = NewReserve("c");
+  NewTap(a->id(), b->id());
+  NewTap(b->id(), c->id());
+  NewTap(c->id(), a->id());
+  NewTap(a->id(), b->id());  // A parallel edge still counts.
+  NewReserve("lone");
 
   const ShardLayout& layout = partitioner_.Partition(k_);
-  EXPECT_EQ(layout.num_shards, 1u);
-  EXPECT_EQ(layout.shard_edges[0], 20u);
-  EXPECT_TRUE(layout.boundary_taps.empty());
-  EXPECT_EQ(partitioner_.stats().cuts_made, 0u);
-}
-
-// Two parallel taps between the same reserves are seen as a cycle of length
-// two — neither is a bridge, so neither may ever be severed, however cheap.
-TEST_F(ShardPartitionerTest, ParallelEdgesAreNeverSevered) {
-  std::vector<Reserve*> nodes;
-  for (int i = 0; i < 13; ++i) {
-    nodes.push_back(NewReserve("n"));
-  }
-  std::vector<ObjectId> pair;
-  for (int i = 0; i < 12; ++i) {
-    Tap* t = NewTap(nodes[i]->id(), nodes[i + 1]->id());
-    t->SetConstantPower(Power::Milliwatts(5));
-    if (i == 6) {
-      Tap* dup = NewTap(nodes[i]->id(), nodes[i + 1]->id());
-      dup->SetConstantPower(Power::Milliwatts(1));  // Cheapest — and immune.
-      pair = {t->id(), dup->id()};
-    }
-  }
-  partitioner_.set_cut_threshold(4);
-
-  const ShardLayout& layout = partitioner_.Partition(k_);
-  EXPECT_GT(layout.num_shards, 1u);
-  for (ObjectId severed : layout.boundary_taps) {
-    EXPECT_NE(severed, pair[0]);
-    EXPECT_NE(severed, pair[1]);
-  }
-  // The parallel pair's endpoints stay in one shard.
-  EXPECT_EQ(partitioner_.ShardOfReserve(nodes[6]->id()),
-            partitioner_.ShardOfReserve(nodes[7]->id()));
-}
-
-// Changing the threshold changes which deterministic layout is computed, so
-// it must invalidate the cache even with no topology change — and setting
-// the same value again must not.
-TEST_F(ShardPartitionerTest, CutCacheInvalidatesOnThresholdChange) {
-  std::vector<Reserve*> nodes;
-  for (int i = 0; i < 21; ++i) {
-    nodes.push_back(NewReserve("n"));
-  }
-  for (int i = 0; i < 20; ++i) {
-    NewTap(nodes[i]->id(), nodes[i + 1]->id());
-  }
-  EXPECT_EQ(partitioner_.Partition(k_).num_shards, 1u);
-
-  partitioner_.set_cut_threshold(4);
-  EXPECT_FALSE(partitioner_.valid());
-  EXPECT_GT(partitioner_.Partition(k_).num_shards, 1u);
-
-  partitioner_.set_cut_threshold(4);  // Same value: the layout survives.
-  EXPECT_TRUE(partitioner_.valid());
+  ASSERT_EQ(layout.num_shards, 2u);
+  EXPECT_EQ(layout.shard_edges[0], 5u);
+  EXPECT_EQ(layout.shard_reserves[0], 6u);
+  EXPECT_EQ(layout.shard_edges[1], 4u);
+  EXPECT_EQ(layout.shard_reserves[1], 3u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // slices padded only at unit starts. Units decide which thread runs a shard
 // and where its slots sit — never a result bit — so the golden bar is the
 // usual one: a plan mixing many small phones, a one-shard unit, a range-split
-// fan-out and a cut chain stays bit-identical to the plain unsharded engine
+// fan-out and a deep chain stays bit-identical to the plain unsharded engine
 // at every worker count, through churn that moves the unit boundaries.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@ namespace cinder {
 namespace {
 
 constexpr uint32_t kSplitMin = 1536;
-constexpr uint32_t kCutThreshold = 24;
 
 // One kernel + engine. sharded=false is the plain unsharded reference;
 // sharded=true with a null executor runs the tickets serially in the caller.
@@ -40,7 +39,6 @@ struct Rig {
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(30);
     engine->split().min_entries = kSplitMin;
-    engine->set_cut_threshold(kCutThreshold);
     if (sharded) {
       engine->EnableSharding(executor);
     }
@@ -103,8 +101,8 @@ struct Rig {
     }
   }
 
-  // A charged chain deeper than the cut threshold: the partitioner severs
-  // bridges into bounded sub-shards, each a unit of its own.
+  // A charged chain: one deep component whose demand groups each hold a
+  // single tap, sharing a unit with the phones around it.
   void AddChain(int depth) {
     Reserve* prev = NewReserve("chain/head");
     prev->Deposit(ToQuantity(Energy::Joules(4000.0)));
@@ -118,7 +116,7 @@ struct Rig {
   }
 
   // ~300 small phones with a one-shard unit (a star just over kUnitEntries),
-  // a range-split fan-out and a cut chain in between.
+  // a range-split fan-out and a deep chain in between.
   void BuildGoldenPlan() {
     int p = 0;
     for (; p < 120; ++p) {
@@ -214,7 +212,7 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
     rig.BuildGoldenPlan();
     rig.RunBatches(150);
     // The plan really mixes every unit kind: many-phone units, the big star
-    // alone, split ranges, and cut sub-shards.
+    // alone, and split ranges.
     const TapEngine& e = *rig.engine;
     ASSERT_GE(e.unit_count(), 5u) << label;
     uint32_t many = 0;
@@ -232,7 +230,6 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
     }
     EXPECT_GE(many, 2u) << label;
     EXPECT_EQ(split, 1u) << label;
-    EXPECT_GE(e.boundary_cut_count(), 2u) << label;
     const std::vector<uint32_t> before = rig.UnitStarts();
 
     Churn(rig, 0);
@@ -246,7 +243,6 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
 
 TEST(ShardUnitTest, UnitsCloseAtTheEntryThresholdAndBigShardsStandAlone) {
   Rig rig(nullptr, /*sharded=*/true);
-  rig.engine->set_cut_threshold(0);
   // A phone weighs 3 edges + 3 reserves = 6, so a unit closes after 171
   // phones (1026 >= kUnitEntries).
   static_assert(TapEngine::kUnitEntries == 1024, "the layout below assumes 1024");

@@ -1,11 +1,14 @@
-// Property test: articulation cuts are invisible. Seeded random caterpillar
+// Property test: deep components run exactly. Seeded random caterpillar
 // graphs — deep ladder chains with leaf taps hanging off the spine, short
-// back-taps that create 2-edge-connected pockets (non-bridges the cut
-// selection must step around), random charge so constrained pockets and the
-// fused fallback fire unpredictably — run with cutting enabled at several
-// worker counts, through mid-run create/delete churn, and must stay
-// bit-identical to the plain unsharded engine while conserving every
-// nanojoule across every run segment.
+// back-taps that close small cycles, random charge so constrained groups
+// appear unpredictably — run sharded at several worker counts, through
+// mid-run create/delete churn, conserving every nanojoule across every run
+// segment. Run as one whole shard they must stay bit-identical to the plain
+// unsharded engine. Range-split, they must stay bit-identical to the same
+// split run serially in the caller: the split re-associates constrained
+// groups' demand, so the split config is part of the result
+// (docs/PERFORMANCE.md, "The reduction-order contract") and the unsplit
+// engine is not its reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,18 +22,24 @@
 namespace cinder {
 namespace {
 
-struct CutRig {
+// Range-split geometry small enough that every spine splits.
+constexpr uint32_t kSplitMin = 16;
+constexpr uint32_t kSplitRanges = 4;
+
+struct CaterpillarRig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
 
-  CutRig(ShardExecutor* executor, bool sharded, uint32_t cut_threshold) {
+  // split_min 0 keeps every component a whole shard.
+  CaterpillarRig(ShardExecutor* executor, bool sharded, uint32_t split_min) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
     b->Deposit(ToQuantity(Energy::Joules(20000.0)));
     engine = std::make_unique<TapEngine>(&kernel, b->id());
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(45);
-    engine->set_cut_threshold(cut_threshold);
+    engine->split().min_entries = split_min;
+    engine->split().ranges = kSplitRanges;
     if (sharded) {
       engine->EnableSharding(executor);
     }
@@ -63,7 +72,7 @@ struct CutRig {
       }
       spine.push_back(n);
     }
-    // A second small component so the cut parent is not the whole world.
+    // A second small component so the spine is not the whole world.
     Reserve* pool = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "pool");
     pool->Deposit(static_cast<Quantity>(rng.UniformU64(3000000000)));
     const int n_apps = 2 + static_cast<int>(rng.UniformU64(4));
@@ -115,7 +124,7 @@ struct CutRig {
   }
 };
 
-void ExpectBitIdentical(CutRig& want, CutRig& got, const std::string& label) {
+void ExpectBitIdentical(CaterpillarRig& want, CaterpillarRig& got, const std::string& label) {
   SCOPED_TRACE(label);
   const auto& want_reserves = want.kernel.ObjectsOfType(ObjectType::kReserve);
   const auto& got_reserves = got.kernel.ObjectsOfType(ObjectType::kReserve);
@@ -140,11 +149,10 @@ void ExpectBitIdentical(CutRig& want, CutRig& got, const std::string& label) {
   EXPECT_EQ(want.engine->total_decay_flow(), got.engine->total_decay_flow());
 }
 
-class ShardCutProperty : public ::testing::TestWithParam<uint64_t> {};
+class ShardCaterpillarProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ShardCutProperty, RandomCaterpillarsCutBitIdenticalThroughChurn) {
+TEST_P(ShardCaterpillarProperty, RandomCaterpillarsBitIdenticalThroughChurn) {
   const uint64_t seed = GetParam();
-  const uint32_t threshold = 6 + static_cast<uint32_t>(Rng(seed).UniformU64(10));
 
   // One shared irregular-dt schedule: identical for every rig.
   std::vector<int64_t> dts;
@@ -158,7 +166,7 @@ TEST_P(ShardCutProperty, RandomCaterpillarsCutBitIdenticalThroughChurn) {
   // Each rig runs three 300-batch segments with a churn round between them.
   // Conservation is checked per segment (churn deposits change the total);
   // the deterministic mutation driver keeps all rigs object-identical.
-  auto drive = [&](CutRig& rig) {
+  auto drive = [&](CaterpillarRig& rig) {
     for (int round = 0; round < 3; ++round) {
       const Quantity before = rig.Total();
       for (int i = 0; i < 300; ++i) {
@@ -171,25 +179,35 @@ TEST_P(ShardCutProperty, RandomCaterpillarsCutBitIdenticalThroughChurn) {
     }
   };
 
-  CutRig reference(nullptr, /*sharded=*/false, 0);
-  reference.Build(seed);
-  drive(reference);
+  CaterpillarRig unsharded(nullptr, /*sharded=*/false, 0);
+  unsharded.Build(seed);
+  drive(unsharded);
+  CaterpillarRig serial_split(nullptr, /*sharded=*/true, kSplitMin);
+  serial_split.Build(seed);
+  drive(serial_split);
 
   std::vector<std::unique_ptr<ShardExecutor>> execs;
   for (int workers : {1, 4, 8}) {
     execs.push_back(std::make_unique<ShardExecutor>(workers));
-    CutRig cut(execs.back().get(), /*sharded=*/true, threshold);
-    cut.Build(seed);
-    drive(cut);
-    // The spine is far deeper than any threshold in [6, 15], so cuts must
-    // genuinely have fired, or the identity check proves nothing.
-    EXPECT_GT(cut.engine->boundary_cut_count(), 0u) << "seed=" << seed;
-    ExpectBitIdentical(reference, cut,
-                       "seed=" + std::to_string(seed) + " workers=" + std::to_string(workers));
+    const std::string label =
+        "seed=" + std::to_string(seed) + " workers=" + std::to_string(workers);
+
+    CaterpillarRig whole(execs.back().get(), /*sharded=*/true, 0);
+    whole.Build(seed);
+    drive(whole);
+    ExpectBitIdentical(unsharded, whole, label + " whole");
+
+    CaterpillarRig split(execs.back().get(), /*sharded=*/true, kSplitMin);
+    split.Build(seed);
+    drive(split);
+    // Shard 0 holds the spine (the head is the smallest tapped reserve); it
+    // must really have run as ranges, or the identity check proves nothing.
+    EXPECT_GT(split.engine->shard_stats()[0].ranges, 1u) << label;
+    ExpectBitIdentical(serial_split, split, label + " split");
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardCutProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardCaterpillarProperty,
                          ::testing::Values(3, 11, 29, 71, 104, 233));
 
 }  // namespace

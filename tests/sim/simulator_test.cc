@@ -180,9 +180,9 @@ TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
   auto run = [](int workers, uint32_t threshold, uint32_t ranges) {
     SimConfig cfg;
     cfg.decay_enabled = false;
-    cfg.tap_workers = workers;
-    cfg.tap_split_threshold = threshold;
-    cfg.tap_split_ranges = ranges;
+    cfg.exec.tap_workers = workers;
+    cfg.exec.tap_split_threshold = threshold;
+    cfg.exec.tap_split_ranges = ranges;
     Simulator sim(cfg);
     Kernel& k = sim.kernel();
     Thread* boot = sim.boot_thread();

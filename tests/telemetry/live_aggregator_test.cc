@@ -126,7 +126,9 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
 TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   // A unit's timing record carries the shards it covers in v1; a record
   // from a file written before work units has v1 = 0 and timed one shard.
-  // The live fold and the offline reader (through a file) agree on both.
+  // Older files may also hold kind 15, a retired kind no reader knows: it
+  // must load and change no total. The live fold and the offline reader
+  // (through a file) agree on all of it.
   TelemetryConfig tcfg;
   tcfg.enabled = true;
   tcfg.retain_with_sinks = true;
@@ -136,6 +138,8 @@ TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   domain.EnsureWriters(2);
   domain.ring(1)->Emit(0, RecordKind::kShardTiming, 3, 1, 0, 400, 0);
   domain.ring(1)->Emit(0, RecordKind::kShardTiming, 4, 1, 0, 600, 5);
+  domain.ring(1)->Emit(0, RecordKind::kShardBatch, 3, 0, 0, 700, 90);
+  domain.ring(1)->Emit(0, static_cast<RecordKind>(15), 0, 3, 1, 12345, 7);
   domain.FlushFrame();
 
   const std::string path = ::testing::TempDir() + "shard_timing_units.bin";
@@ -145,6 +149,10 @@ TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   ASSERT_TRUE(TraceReader::LoadFile(path, &reader, &error)) << error;
   std::remove(path.c_str());
 
+  EXPECT_EQ(reader.TotalTapFlow(), 700);
+  EXPECT_EQ(reader.TotalDecayFlow(), 90);
+  EXPECT_EQ(agg.TotalTapFlow(), 700);
+  EXPECT_EQ(agg.TotalDecayFlow(), 90);
   const auto offline = reader.WorkerLoads();
   ASSERT_EQ(offline.size(), 1u);
   EXPECT_EQ(offline[0].worker, 1u);

@@ -111,46 +111,6 @@ TEST(TelemetryEngineTest, FlowByShardJoinsPlanAndBatchRecords) {
   EXPECT_EQ(decay_sum, reader.TotalDecayFlow());
 }
 
-TEST(TelemetryEngineTest, BoundarySettleRecordsAccountCutSettlement) {
-  // A charged relay chain is one component whose every tap is a bridge; a
-  // cut threshold carves it into bounded sub-shards, and every batch then
-  // emits one kBoundarySettle record from the serial settlement.
-  SimConfig cfg = FleetConfig(2);
-  cfg.exec.shard_cut_threshold = 16;
-  Simulator sim(cfg);
-  Kernel& kernel = sim.kernel();
-  Reserve* prev = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "head");
-  prev->Deposit(ToQuantity(Energy::Joules(4000.0)));
-  for (int i = 1; i <= 96; ++i) {
-    Reserve* next = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "hop");
-    next->Deposit(ToQuantity(Energy::Joules(3.0 + i % 7)));
-    Tap* relay = kernel.Create<Tap>(kernel.root_container_id(), Label(Level::k1), "relay",
-                                    prev->id(), next->id());
-    relay->SetConstantPower(Power::Milliwatts(1 + (i * 5) % 17));
-    ASSERT_TRUE(sim.taps().Register(relay->id()));
-    prev = next;
-  }
-  sim.Run(Duration::Seconds(2));
-  const uint64_t cuts = sim.taps().boundary_cut_count();
-  ASSERT_GT(cuts, 0u);
-  // Every hop is funded, so settlement stays on the lane path throughout.
-  ASSERT_FALSE(sim.taps().AnyCutParentFused());
-
-  sim.telemetry().FlushFrame();
-  TraceReader reader = TraceReader::FromDomain(sim.telemetry());
-  ASSERT_EQ(reader.dropped(), 0u);
-  EXPECT_GT(reader.BoundarySettles(), 0u);
-  EXPECT_EQ(reader.FusedSettles(), 0u);
-  // One settle per cut parent per batch (the chain is one parent), each
-  // applying every one of its boundary lanes.
-  EXPECT_EQ(reader.BoundaryLanesApplied(), reader.BoundarySettles() * cuts);
-  // Boundary flow crossed the cuts and is a subset of the engine-exact total.
-  EXPECT_GT(reader.BoundaryFlow(), 0);
-  EXPECT_LE(reader.BoundaryFlow(), reader.TotalTapFlow());
-  EXPECT_EQ(reader.TotalTapFlow(), sim.taps().total_tap_flow());
-  EXPECT_EQ(reader.TotalDecayFlow(), sim.taps().total_decay_flow());
-}
-
 TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
   Simulator sim(FleetConfig(2));
   BuildPhones(sim, 4);
@@ -471,45 +431,15 @@ TEST(TelemetryConfigTest, DisabledByDefaultAndInert) {
   EXPECT_TRUE(reader.records().empty());
 }
 
-TEST(TelemetryConfigTest, FlatExecAliasesNormalizeIntoNestedConfig) {
-  // Old flat names still steer the nested ExecConfig.
-  SimConfig flat;
-  flat.tap_workers = 3;
-  flat.decay_to_shard_root = true;
-  flat.tap_split_threshold = 128;
-  flat.tap_split_ranges = 4;
-  SimConfig n = flat.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 3);
-  EXPECT_TRUE(n.exec.decay_to_shard_root);
-  EXPECT_EQ(n.exec.tap_split_threshold, 128u);
-  EXPECT_EQ(n.exec.tap_split_ranges, 4u);
-
-  // The nested field wins when both were set.
-  SimConfig both;
-  both.tap_workers = 3;
-  both.exec.tap_workers = 5;
-  n = both.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 5);
-  EXPECT_EQ(n.tap_workers, 5);  // Flat mirror shows the effective value.
-
-  // Defaults stay defaults.
-  n = SimConfig{}.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 0);
-  EXPECT_FALSE(n.exec.decay_to_shard_root);
-  EXPECT_EQ(n.exec.tap_split_threshold, 4096u);
-  EXPECT_EQ(n.exec.tap_split_ranges, 8u);
-}
-
-TEST(TelemetryConfigTest, FlatAliasesDriveTheLiveSimulator) {
-  // End to end: a pre-ExecConfig caller using only flat fields still gets a
-  // sharded pool, and config() readers see the reconciled values both ways.
+TEST(TelemetryConfigTest, ExecConfigDrivesTheLiveSimulator) {
+  // End to end: the nested exec fields give the simulator a sharded pool,
+  // and config() readers see them.
   SimConfig cfg;
-  cfg.tap_workers = 2;
-  cfg.decay_to_shard_root = true;
+  cfg.exec.tap_workers = 2;
+  cfg.exec.decay_to_shard_root = true;
   Simulator sim(cfg);
   EXPECT_NE(sim.shard_executor(), nullptr);
   EXPECT_EQ(sim.config().exec.tap_workers, 2);
-  EXPECT_EQ(sim.config().tap_workers, 2);
   EXPECT_TRUE(sim.config().exec.decay_to_shard_root);
   BuildPhones(sim, 3);
   sim.Run(Duration::Millis(200));

@@ -98,26 +98,8 @@ int main(int argc, char** argv) {
   cinder::tools::FollowOptions opts;
   opts.poll_ms = poll_ms;
   opts.once = once;
-  // Boundary-settlement accounting (articulation cuts) rides alongside the
-  // aggregator: one kBoundarySettle record per cut parent per batch.
-  uint64_t boundary_settles = 0;
-  int64_t boundary_flow = 0;
-  uint64_t boundary_lanes = 0;
-  uint64_t boundary_fused = 0;
   const auto result = cinder::tools::FollowTraceFile(
-      path, opts,
-      [&](const cinder::TraceRecord& r) {
-        if (r.kind == static_cast<uint8_t>(cinder::RecordKind::kBoundarySettle)) {
-          ++boundary_settles;
-          boundary_flow += r.v0;
-          boundary_lanes += static_cast<uint64_t>(r.v1);
-          if ((r.flags & cinder::kBoundarySettleFused) != 0) {
-            ++boundary_fused;
-          }
-        }
-        agg.OnRecord(r);
-      },
-      &error);
+      path, opts, [&agg](const cinder::TraceRecord& r) { agg.OnRecord(r); }, &error);
   if (result == cinder::tools::FollowResult::kError) {
     std::fprintf(stderr, "energytop: %s\n", error.c_str());
     return 1;
@@ -136,11 +118,6 @@ int main(int argc, char** argv) {
               " planned, %" PRIu64 " plan builds)\n",
               Mj(agg.TotalTapFlow()), Mj(agg.TotalDecayFlow()), agg.SchedPicks(),
               agg.SchedIdlePicks(), agg.SchedPlannedPicks(), agg.SchedPlanBuilds());
-  if (boundary_settles > 0) {
-    std::printf("boundary: %" PRIu64 " settles, %.3f mJ across cuts, %" PRIu64
-                " lanes applied, %" PRIu64 " fused fallbacks\n",
-                boundary_settles, Mj(boundary_flow), boundary_lanes, boundary_fused);
-  }
 
   const auto shards = agg.shard_live();
   size_t active = 0;

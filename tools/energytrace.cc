@@ -46,7 +46,6 @@ const char* KindName(uint8_t kind) {
     case cinder::RecordKind::kPlanShard: return "plan_shard";
     case cinder::RecordKind::kPlanReserve: return "plan_reserve";
     case cinder::RecordKind::kSchedPlanBuild: return "sched_plan_build";
-    case cinder::RecordKind::kBoundarySettle: return "boundary_settle";
     default: return "?";
   }
 }
@@ -156,13 +155,6 @@ int main(int argc, char** argv) {
               reader.TotalTapFlow());
   std::printf("  decay flow %.3f mJ (%" PRId64 " nJ)\n", Mj(reader.TotalDecayFlow()),
               reader.TotalDecayFlow());
-  if (reader.BoundarySettles() > 0) {
-    std::printf("\nboundary settlement (articulation cuts):\n");
-    std::printf("  %" PRIu64 " settles, %.3f mJ across cuts, %" PRIu64
-                " lanes applied, %" PRIu64 " fused fallbacks\n",
-                reader.BoundarySettles(), Mj(reader.BoundaryFlow()),
-                reader.BoundaryLanesApplied(), reader.FusedSettles());
-  }
 
   const auto shards = reader.FlowByShard();
   if (!shards.empty()) {
