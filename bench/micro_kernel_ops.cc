@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -568,6 +569,81 @@ void BM_ObjectCreateDelete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectCreateDelete);
+
+// Plan build cost at fleet scale: `phones` examples/fleet-shaped phones, one
+// container each, sharded with no executor (tickets run in the caller),
+// telemetry off. Each iteration times TapEngine::UpdatePlan alone.
+//   full       InvalidateCaches() outside the timed region, so every update
+//              is a full rebuild (the compaction step and every fallback).
+//   one_phone  one seeded phone deleted and one built outside the timed
+//              region: an in-place update while the headroom lasts, and
+//              the compacting full rebuild when it runs out, amortized.
+void BM_PlanRebuild(benchmark::State& state, bool one_phone) {
+  const int phones = static_cast<int>(state.range(0));
+  Kernel k;
+  Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
+  battery->set_decay_exempt(true);
+  TapEngine engine(&k, battery->id());
+  engine.decay().enabled = true;
+  engine.decay().half_life = Duration::Minutes(2);
+  engine.decay().to_shard_root = true;
+  engine.EnableSharding(nullptr);
+  int serial = 0;
+  auto add_phone = [&] {
+    const int p = serial++;
+    Container* home = k.Create<Container>(k.root_container_id(), Label(Level::k1), "phone");
+    Reserve* pool = k.Create<Reserve>(home->id(), Label(Level::k1), "pool");
+    pool->Deposit(ToQuantity(Energy::Joules(200.0 + (p % 7) * 25.0)));
+    Reserve* fg = k.Create<Reserve>(home->id(), Label(Level::k1), "fg");
+    Reserve* bg = k.Create<Reserve>(home->id(), Label(Level::k1), "bg");
+    Tap* feed_fg = k.Create<Tap>(home->id(), Label(Level::k1), "feed_fg", pool->id(), fg->id());
+    feed_fg->SetConstantPower(Power::Milliwatts(200 + (p % 5) * 60));
+    engine.Register(feed_fg->id());
+    Tap* feed_bg = k.Create<Tap>(home->id(), Label(Level::k1), "feed_bg", pool->id(), bg->id());
+    feed_bg->SetProportionalRate(0.002 + 0.0005 * (p % 4));
+    engine.Register(feed_bg->id());
+    Tap* back = k.Create<Tap>(home->id(), Label(Level::k1), "back", fg->id(), pool->id());
+    back->SetProportionalRate(0.1);
+    engine.Register(back->id());
+    return home->id();
+  };
+  std::vector<ObjectId> homes;
+  for (int p = 0; p < phones; ++p) {
+    homes.push_back(add_phone());
+  }
+  engine.RunBatch(Duration::Millis(10));
+  uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  for (auto _ : state) {
+    if (one_phone) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      const size_t victim = (lcg >> 33) % homes.size();
+      (void)k.Delete(homes[victim]);
+      homes[victim] = add_phone();
+    } else {
+      k.InvalidateCaches();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.UpdatePlan();
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["full_rebuilds"] = static_cast<double>(engine.full_rebuilds());
+  state.counters["updates"] = static_cast<double>(engine.plan_updates());
+}
+BENCHMARK_CAPTURE(BM_PlanRebuild, full, false)
+    ->ArgName("phones")
+    ->Arg(200)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PlanRebuild, one_phone, true)
+    ->ArgName("phones")
+    ->Arg(200)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // --- Paired telemetry-overhead probe ---------------------------------------
 // `micro_kernel_ops --telemetry_gate=OUT.json` measures the telemetry-on tap

@@ -17,8 +17,11 @@
 # guards BM_TapBatchChain/depth:{1024,8192}, and the scheduler-plan
 # cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64} +
 # BM_SimStepStarved/threads:{256,1024} +
-# BM_SimStepStarvedPlansForced/threads:1024, the plan-build cost at scale)
-# regressed by more than 20% — the cross-PR CI gate.
+# BM_SimStepStarvedPlansForced/threads:1024, the plan-build cost at scale,
+# and the tap engine's plan build at fleet scale:
+# BM_PlanRebuild/one_phone/phones:{2000,20000}/manual_time, the in-place
+# update a phone swap costs, and BM_PlanRebuild/full/phones:2000/manual_time,
+# the full rebuild) regressed by more than 20% — the cross-PR CI gate.
 #
 # Independent of --compare, every run whose filter covers both tap-batch
 # benchmarks also runs the paired telemetry-overhead probe
@@ -122,6 +125,9 @@ if [[ -n "$baseline" ]]; then
     --gate 'BM_SimStepStarved/threads:256' \
     --gate 'BM_SimStepStarved/threads:1024' \
     --gate 'BM_SimStepStarvedPlansForced/threads:1024' \
+    --gate 'BM_PlanRebuild/one_phone/phones:2000/manual_time' \
+    --gate 'BM_PlanRebuild/one_phone/phones:20000/manual_time' \
+    --gate 'BM_PlanRebuild/full/phones:2000/manual_time' \
     --max-regression 0.20 \
     "${warn_flag[@]}"
 fi

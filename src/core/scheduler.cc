@@ -544,7 +544,8 @@ bool EnergyAwareScheduler::TryPlannedPick(SimTime now, ObjectId* picked) {
   return true;
 }
 
-void EnergyAwareScheduler::OnObjectDeleted(ObjectId id, ObjectType type) {
+void EnergyAwareScheduler::OnObjectDeleted(ObjectId id, ObjectType type,
+                                           ObjectHandle /*handle*/) {
   if (type != ObjectType::kThread) {
     return;
   }

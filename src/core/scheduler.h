@@ -170,7 +170,7 @@ class EnergyAwareScheduler : public KernelObserver {
   void set_telemetry(TraceDomain* domain) { telemetry_ = domain; }
 
   // KernelObserver: drop deleted threads from the run queue.
-  void OnObjectDeleted(ObjectId id, ObjectType type) override;
+  void OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handle) override;
 
  private:
   // Resolved reserve state for one thread: the attach-order reserve pointers

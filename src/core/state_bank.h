@@ -12,15 +12,17 @@
 //
 // Lifetime contract (see docs/PERFORMANCE.md):
 //   * snapshot — RebuildPlan copies object state into the bank and attaches
-//     each object (bank pointer + slot). From then on the bank is the live
-//     copy: the object's public accessors read and write through its slot, so
-//     cold-path callers (syscalls, scheduler, meter, examples) observe
-//     identical semantics mid-plan.
-//   * write-back — on the next rebuild (any mutation-epoch bump) or engine
-//     destruction, bank state is copied back into the surviving objects and
-//     they detach. Objects deleted mid-epoch simply miss during write-back:
-//     slots are keyed by generation-tagged ObjectHandles, so a recycled slab
-//     slot can never alias a dead reserve's state.
+//     each object (bank pointer + slot); an in-place plan update does the
+//     same for the objects it adds, in the bank's spare tail. From then on
+//     the bank is the live copy: the object's public accessors read and
+//     write through its slot, so cold-path callers (syscalls, scheduler,
+//     meter, examples) observe identical semantics mid-plan.
+//   * write-back — on the next full rebuild or engine destruction, bank
+//     state is copied back into the surviving objects and they detach.
+//     Objects deleted mid-epoch simply miss during write-back: slots are
+//     keyed by generation-tagged ObjectHandles, so a recycled slab slot can
+//     never alias a dead reserve's state. An in-place update zeroes the
+//     slots of the objects it drops (ClearSlot).
 //
 // Fields that are only cold-written but hot-read (tap rates, the enabled and
 // exempt bits) stay authoritative on the object and are mirrored into the
@@ -40,14 +42,31 @@ inline constexpr uint32_t kNoBankSlot = UINT32_MAX;
 
 namespace bank_internal {
 
-// Over-allocates `v` so the returned working base starts on a cache-line
+// Sizes `v` to `slots` zeroed elements with room for `capacity` more than
+// that, over-allocated so the returned working base starts on a cache-line
 // boundary: per-shard slice padding alone cannot help if the heap block
-// itself starts mid-line.
+// itself starts mid-line. Grow64 within the room never moves the base, and
+// the spare room stays untouched (not resident) until it is used. A block
+// too small is freed before the bigger one is taken, so the allocator can
+// reuse it.
 template <typename T>
-T* Align64(std::vector<T>& v, size_t slots) {
-  v.assign(slots + 64 / sizeof(T), T{});
+T* Align64(std::vector<T>& v, size_t slots, size_t capacity = 0) {
+  constexpr size_t kPad = 64 / sizeof(T);
+  const size_t room = (capacity > slots ? capacity : slots) + kPad;
+  if (v.capacity() < room) {
+    std::vector<T>().swap(v);
+    v.reserve(room);
+  }
+  v.assign(slots + kPad, T{});
   auto addr = reinterpret_cast<uintptr_t>(v.data());
   return reinterpret_cast<T*>((addr + 63) & ~uintptr_t{63});
+}
+
+// Extends an Align64 vector to `slots` (within its room); the new elements
+// are zero.
+template <typename T>
+void Grow64(std::vector<T>& v, size_t slots) {
+  v.resize(slots + 64 / sizeof(T));
 }
 
 }  // namespace bank_internal
@@ -67,16 +86,39 @@ class ReserveStateBank {
                        // battery root even under DecayConfig::to_shard_root.
   };
 
-  void Reset(uint32_t slots) {
+  // Sizes the bank to `slots` zeroed slots, allocating room for `capacity`
+  // (at least `slots`): Grow() fills the spare tail without moving any cell.
+  void Reset(uint32_t slots, uint32_t capacity = 0) {
     size_ = slots;
-    level_base_ = bank_internal::Align64(level_, slots);
-    deposited_base_ = bank_internal::Align64(deposited_, slots);
-    carry_base_ = bank_internal::Align64(carry_, slots);
-    flags_base_ = bank_internal::Align64(flags_, slots);
+    capacity_ = capacity > slots ? capacity : slots;
+    level_base_ = bank_internal::Align64(level_, slots, capacity_);
+    deposited_base_ = bank_internal::Align64(deposited_, slots, capacity_);
+    carry_base_ = bank_internal::Align64(carry_, slots, capacity_);
+    flags_base_ = bank_internal::Align64(flags_, slots, capacity_);
+    handles_.reserve(capacity_);
     handles_.assign(slots, ObjectHandle{});
   }
   void Clear() { Reset(0); }
   uint32_t size() const { return size_; }
+  uint32_t capacity() const { return capacity_; }
+  // Extends the bank to `slots` (<= capacity()) without moving any cell; the
+  // new slots are zero.
+  void Grow(uint32_t slots) {
+    size_ = slots;
+    bank_internal::Grow64(level_, slots);
+    bank_internal::Grow64(deposited_, slots);
+    bank_internal::Grow64(carry_, slots);
+    bank_internal::Grow64(flags_, slots);
+    handles_.resize(slots);
+  }
+  // Zeroes a slot and drops its write-back handle.
+  void ClearSlot(uint32_t slot) {
+    level_base_[slot] = 0;
+    deposited_base_[slot] = 0;
+    carry_base_[slot] = 0.0;
+    flags_base_[slot] = 0;
+    handles_[slot] = ObjectHandle{};
+  }
 
   // Aligned working bases for the batch hot loops.
   Quantity* levels() { return level_base_; }
@@ -94,8 +136,8 @@ class ReserveStateBank {
   // Stable address of a slot's level for the epoch this bank snapshot lives:
   // the scheduler caches these (keyed on the kernel mutation epoch) so its
   // per-quantum billing reads levels with one dereference instead of an
-  // attached-check branch per call. Any rebuild bumps the epoch, so a cached
-  // cell can never outlive the arrays it points into.
+  // attached-check branch per call. Any rebuild or in-place update bumps the
+  // epoch, so a cached cell can never outlive the arrays it points into.
   Quantity* level_cell(uint32_t slot) { return level_base_ + slot; }
   Quantity deposited_total(uint32_t slot) const { return deposited_base_[slot]; }
   void set_deposited_total(uint32_t slot, Quantity v) { deposited_base_[slot] = v; }
@@ -112,6 +154,7 @@ class ReserveStateBank {
 
  private:
   uint32_t size_ = 0;
+  uint32_t capacity_ = 0;
   std::vector<Quantity> level_;
   std::vector<Quantity> deposited_;
   std::vector<double> carry_;
@@ -135,17 +178,38 @@ class TapStateBank {
     kProportional = 2,  // Mirrored from Tap::tap_type().
   };
 
-  void Reset(uint32_t slots) {
+  // Same contract as ReserveStateBank::Reset / Grow / ClearSlot.
+  void Reset(uint32_t slots, uint32_t capacity = 0) {
     size_ = slots;
-    carry_base_ = bank_internal::Align64(carry_, slots);
-    transferred_base_ = bank_internal::Align64(transferred_, slots);
-    rate_base_ = bank_internal::Align64(rate_, slots);
-    fraction_base_ = bank_internal::Align64(fraction_, slots);
-    flags_base_ = bank_internal::Align64(flags_, slots);
+    capacity_ = capacity > slots ? capacity : slots;
+    carry_base_ = bank_internal::Align64(carry_, slots, capacity_);
+    transferred_base_ = bank_internal::Align64(transferred_, slots, capacity_);
+    rate_base_ = bank_internal::Align64(rate_, slots, capacity_);
+    fraction_base_ = bank_internal::Align64(fraction_, slots, capacity_);
+    flags_base_ = bank_internal::Align64(flags_, slots, capacity_);
+    handles_.reserve(capacity_);
     handles_.assign(slots, ObjectHandle{});
   }
   void Clear() { Reset(0); }
   uint32_t size() const { return size_; }
+  uint32_t capacity() const { return capacity_; }
+  void Grow(uint32_t slots) {
+    size_ = slots;
+    bank_internal::Grow64(carry_, slots);
+    bank_internal::Grow64(transferred_, slots);
+    bank_internal::Grow64(rate_, slots);
+    bank_internal::Grow64(fraction_, slots);
+    bank_internal::Grow64(flags_, slots);
+    handles_.resize(slots);
+  }
+  void ClearSlot(uint32_t slot) {
+    carry_base_[slot] = 0.0;
+    transferred_base_[slot] = 0;
+    rate_base_[slot] = 0;
+    fraction_base_[slot] = 0.0;
+    flags_base_[slot] = 0;
+    handles_[slot] = ObjectHandle{};
+  }
 
   double* carries() { return carry_base_; }
   Quantity* transferred() { return transferred_base_; }
@@ -173,6 +237,7 @@ class TapStateBank {
 
  private:
   uint32_t size_ = 0;
+  uint32_t capacity_ = 0;
   std::vector<double> carry_;
   std::vector<Quantity> transferred_;
   std::vector<QuantityRate> rate_;

@@ -80,7 +80,7 @@ class Tap final : public KernelObject {
     embedded_privs_ = std::move(privs);
     // Credential changes alter which flows pass the label check, so cached
     // flow plans must be rebuilt.
-    BumpMutationEpoch();
+    BumpAccessEpoch();
   }
 
   // -- Flow bookkeeping (TapEngine only) ---------------------------------------

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "src/base/log.h"
 #include "src/exec/shard_executor.h"
@@ -21,6 +20,46 @@ inline int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Slice padding at work-unit starts: per-entry and demand-group slots per
+// cache line of doubles, and reserve slots per cache line of flag bytes.
+constexpr uint32_t kAlign = 64 / sizeof(double);
+constexpr uint32_t kSlotAlign = 64;
+
+uint32_t PadTo(uint32_t v, uint32_t align) { return (v + align - 1) / align * align; }
+
+// Room for `n` elements in a table whose contents are about to be rebuilt:
+// a block too small is freed before the bigger one is taken.
+template <typename V>
+void ReserveFresh(V& v, size_t n) {
+  if (v.capacity() < n) {
+    V().swap(v);
+    v.reserve(n);
+  }
+}
+
+// Stable counting sort of the indices of `key` (values < buckets): bucket
+// b's indices, ascending, are (*order)[(*begin)[b] .. (*begin)[b + 1]).
+void BucketOrder(const std::vector<uint32_t>& key, uint32_t buckets, std::vector<uint32_t>* begin,
+                 std::vector<uint32_t>* order) {
+  begin->assign(buckets + 1, 0);
+  for (const uint32_t k : key) {
+    ++(*begin)[k + 1];
+  }
+  for (uint32_t b = 0; b < buckets; ++b) {
+    (*begin)[b + 1] += (*begin)[b];
+  }
+  order->resize(key.size());
+  // Scatter with begin[k] as bucket k's cursor, which leaves it at the
+  // bucket's end (= bucket k + 1's start); shift back.
+  for (uint32_t i = 0; i < key.size(); ++i) {
+    (*order)[(*begin)[key[i]]++] = i;
+  }
+  for (uint32_t b = buckets; b > 0; --b) {
+    (*begin)[b] = (*begin)[b - 1];
+  }
+  (*begin)[0] = 0;
 }
 }  // namespace
 
@@ -65,7 +104,12 @@ bool TapEngine::Register(ObjectId tap_id) {
     return true;
   }
   taps_.insert(it, tap_id);
-  plan_valid_ = false;
+  // A tap created since the plan reaches the next update through the
+  // registry's tail (its creation moved the mutation epoch). An older one
+  // joins a shard the plan already laid out: only a full rebuild does that.
+  if (tap_id <= plan_tap_horizon_) {
+    plan_valid_ = false;
+  }
   return true;
 }
 
@@ -96,7 +140,7 @@ void TapEngine::WriteBackBank() {
   for (uint32_t slot = 0; slot < rbank_.size(); ++slot) {
     const ObjectHandle h = rbank_.handle(slot);
     if (!h.valid()) {
-      continue;  // Padding slot, or never attached.
+      continue;  // Padding or retired slot, or never attached.
     }
     Reserve* r = kernel_->LookupTyped<Reserve>(h);
     if (r != nullptr && r->bank() == &rbank_ && r->bank_slot() == slot) {
@@ -115,13 +159,62 @@ void TapEngine::WriteBackBank() {
   }
 }
 
+void TapEngine::UpdatePlan() {
+  if (PlanIsCurrent()) {
+    return;
+  }
+  if (TryUpdatePlan()) {
+    ++plan_updates_;
+  } else {
+    RebuildPlan();
+  }
+}
+
+void TapEngine::StampPlan() {
+  battery_cache_ = kernel_->LookupTyped<Reserve>(battery_reserve_);
+  pending_deletes_.clear();
+  const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
+  const std::vector<ObjectId>& taps = kernel_->ObjectsOfType(ObjectType::kTap);
+  plan_reserve_horizon_ = reserves.empty() ? kInvalidObjectId : reserves.back();
+  plan_tap_horizon_ = taps.empty() ? kInvalidObjectId : taps.back();
+  plan_split_ = split_;
+  plan_record_mask_ = telem_ != nullptr ? telem_->record_mask() : 0;
+  plan_topology_epoch_ = kernel_->topology_epoch();
+  plan_access_epoch_ = kernel_->access_epoch();
+  plan_epoch_ = kernel_->mutation_epoch();
+  plan_valid_ = true;
+}
+
 void TapEngine::RebuildPlan() {
+  // Headroom once the topology has changed under a built plan (or the last
+  // plan already had it): more churn is then likely, while a fleet that is
+  // built once keeps its exact footprint.
+  const bool headroom =
+      full_rebuilds_ > 0 &&
+      (plan_headroom_ || kernel_->topology_epoch() != plan_topology_epoch_);
+  ++full_rebuilds_;
   // Return the previous epoch's bank state to the surviving objects before
   // re-snapshotting: cold-path mutations made since then went through the
   // bank, so the objects are stale until this runs.
   WriteBackBank();
 
+  // Shard assignment: one shard per connected component when sharding is on,
+  // a single shard holding everything otherwise. The partitioner caches on
+  // the topology epoch, so label flaps rebuild the plan without re-running
+  // the union-find.
+  num_shards_ = 1;
+  if (sharding_) {
+    const ShardLayout& layout = partitioner_->Partition(*kernel_);
+    num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
+  }
+
+  // ---- Plan entries: every registered tap that may flow, an entry in its
+  // source's shard; counting-sorted shard-major, stable so each shard keeps
+  // tap-id order (the order the unsharded engine flows in).
   resolved_.clear();
+  entry_shard_.clear();
+  ReserveFresh(resolved_, taps_.size());
+  ReserveFresh(entry_shard_, taps_.size());
   for (ObjectId id : taps_) {
     Tap* tap = kernel_->LookupTyped<Tap>(id);
     if (tap == nullptr) {
@@ -133,292 +226,462 @@ void TapEngine::RebuildPlan() {
       continue;  // Endpoint deleted; tap is inert until deleted itself.
     }
     // The tap acts with its embedded credentials: it must be able to use
-    // (observe + modify) both endpoints. Any label or credential change bumps
-    // the kernel epoch, so checking once per plan is exact.
+    // (observe + modify) both endpoints. Any label or credential change moves
+    // the kernel's access epoch, so checking once per plan is exact.
     if (!Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *src) ||
         !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *dst)) {
       continue;
     }
-    resolved_.push_back({tap, src, dst});
-  }
-
-  // Shard assignment: one shard per connected component when sharding is on,
-  // a single shard holding everything otherwise. The partitioner caches on
-  // the topology epoch, so label flaps rebuild the plan without re-running
-  // the union-find.
-  num_shards_ = 1;
-  if (sharding_) {
-    const ShardLayout& layout = partitioner_->Partition(*kernel_);
-    num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
-  }
-  const bool multi = sharding_ && num_shards_ > 1;
-
-  // ---- Plan entries per shard (an entry belongs to its source's shard),
-  // then the work units built from those counts.
-  const auto n = static_cast<uint32_t>(resolved_.size());
-  shard_plan_begin_.assign(num_shards_ + 1, 0);
-  if (multi) {
-    entry_shard_.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t s = partitioner_->ShardOfReserve(resolved_[i].src->id());
+    uint32_t s = 0;
+    if (sharding_) {
+      s = partitioner_->ShardOf(kernel_->HandleOf(tap->source()));
       if (s == ShardLayout::kNoShard) {
         s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
       }
-      entry_shard_[i] = s;
-      ++shard_plan_begin_[s + 1];
     }
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      shard_plan_begin_[s + 1] += shard_plan_begin_[s];
-    }
-  } else {
-    shard_plan_begin_[1] = n;
+    resolved_.push_back({tap, src, dst});
+    entry_shard_.push_back(s);
   }
-  BuildUnits();
-  const uint32_t num_units = unit_count();
+  BucketOrder(entry_shard_, num_shards_, &entry_begin_, &entry_order_);
 
-  // Slices are padded at unit starts only: one thread writes a whole unit,
-  // so only concurrent units must not share a cache line.
-  const bool padded = num_units > 1;
-  constexpr uint32_t kAlign = 64 / sizeof(double);  // Per-entry slots per cache line.
-  auto pad = [padded](uint32_t v) {
-    return padded ? (v + kAlign - 1) / kAlign * kAlign : v;
-  };
-  // Reserve slots pad to a full 64: the bank's flags array is one byte per
-  // slot and its decay-list bits are written from worker threads, so only a
-  // 64-slot boundary keeps adjacent units' flag slices off a shared line
-  // (the 8-byte arrays get 512-byte alignment for free).
-  constexpr uint32_t kSlotAlign = 64;
-  auto pad_slots = [padded](uint32_t v) {
-    return padded ? (v + kSlotAlign - 1) / kSlotAlign * kSlotAlign : v;
-  };
-
-  // ---- Reserve slot assignment: shard-major, id order within a shard, each
-  // unit's slice starting cache-line aligned (like group_demand_). Reserves
-  // no tap touches get kNoShard from the partitioner and are spread
-  // round-robin (in id order, so deterministically).
+  // ---- Reserves, likewise shard-major in id order. Strayness (no tap
+  // touches the reserve) is a property of the component graph, not of the
+  // shard count: classify it whenever a partitioner ran, so a
+  // single-component fleet routes stray leakage exactly like a large one.
+  // Strays are spread round-robin (in id order, so deterministically).
   const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
   const auto nr = static_cast<uint32_t>(reserves.size());
-  reserve_shard_.assign(nr, 0);
+  resv_first_ = 0;
+  reserve_shard_.resize(nr);
   reserve_stray_.assign(nr, 0);
-  std::vector<uint32_t> slot_count(num_shards_, 0);
   uint32_t round_robin = 0;
   for (uint32_t i = 0; i < nr; ++i) {
     uint32_t s = 0;
-    // Strayness (no tap touches the reserve) is a property of the component
-    // graph, not of the shard count: classify it whenever a partitioner ran,
-    // so a single-component fleet routes stray leakage exactly like a large
-    // one.
     if (sharding_) {
-      const uint32_t ps = partitioner_->ShardOfReserve(reserves[i]);
-      if (ps == ShardLayout::kNoShard) {
-        reserve_stray_[i] = 1;  // Belongs to no component.
-        if (multi) {
-          s = round_robin++ % num_shards_;  // Decay-only reserve: spread evenly.
-        }
-      } else if (multi) {
-        s = ps;
+      s = partitioner_->ShardOf(kernel_->HandleOf(reserves[i]));
+      if (s == ShardLayout::kNoShard) {
+        reserve_stray_[i] = 1;
+        s = round_robin++ % num_shards_;
       }
     }
     reserve_shard_[i] = s;
-    ++slot_count[s];
   }
-  shard_slot_begin_.assign(num_shards_ + 1, 0);
-  uint32_t next_slot = 0;
-  for (uint32_t u = 0; u < num_units; ++u) {
-    next_slot = pad_slots(next_slot);
-    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
-      shard_slot_begin_[s] = next_slot;
-      next_slot += slot_count[s];
-    }
-  }
-  shard_slot_begin_[num_shards_] = next_slot;
-  rbank_.Reset(next_slot);
+  BucketOrder(reserve_shard_, num_shards_, &resv_begin_, &resv_order_);
 
-  // Snapshot every reserve into its slot and wire the decay pass: energy
-  // reserves (battery excluded) get the listener hook and count toward their
-  // shard's skip-list capacity; the smallest-id wired reserve of each shard
-  // becomes the shard's decay sink (DecayConfig::to_shard_root).
-  std::vector<uint32_t> cursor(shard_slot_begin_.begin(), shard_slot_begin_.end() - 1);
-  std::vector<uint32_t> assigned(num_shards_, 0);
+  // ---- Layout: place every shard (work units and padded ranges), size the
+  // banks, then fill every shard. With headroom, the per-entry and per-shard
+  // tables get room for what the spare tail can hold (a component has at
+  // least two reserves), so an update appends without regrowing any.
+  if (headroom) {
+    const uint32_t entries = static_cast<uint32_t>(resolved_.size()) +
+                             Spare(true, static_cast<uint32_t>(resolved_.size()));
+    for (auto* v : {&plan_src_, &plan_dst_, &plan_group_, &group_src_slot_, &group_size_}) {
+      ReserveFresh(*v, entries);
+    }
+    ReserveFresh(group_fast_, entries);
+    const uint32_t shards = num_shards_ + Spare(true, nr) / 2 + 1;
+    for (auto* v : {&shard_plan_begin_, &shard_want_begin_, &shard_slot_begin_,
+                    &shard_group_begin_, &shard_group_count_, &shard_sink_slot_, &shard_unit_,
+                    &split_of_shard_}) {
+      ReserveFresh(*v, shards);
+    }
+    ReserveFresh(shard_sink_, shards);
+    ReserveFresh(decay_active_, shards);
+    ReserveFresh(shard_live_, shards);
+    ReserveFresh(scratch_, shards);
+    ReserveFresh(stats_, shards);
+  }
+  unit_shard_begin_.assign(1, 0);
+  unit_size_.clear();
+  shard_unit_.clear();
+  unit_open_ = false;
+  unit_weight_ = 0;
+  shard_slot_begin_.assign(1, 0);
+  shard_want_begin_.assign(1, 0);
+  shard_plan_begin_.assign(1, 0);
+  shard_group_begin_.assign(1, 0);
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    PlaceShard(s, resv_begin_[s + 1] - resv_begin_[s], entry_begin_[s + 1] - entry_begin_[s]);
+  }
+  const uint32_t slots = shard_slot_begin_.back();
+  const uint32_t want = shard_want_begin_.back();
+  rbank_.Reset(slots, slots + Spare(headroom, slots));
+  tbank_.Reset(want, want + Spare(headroom, want));
+  want_base_ = bank_internal::Align64(want_, want, tbank_.capacity());
+  const auto n = static_cast<uint32_t>(resolved_.size());
+  plan_src_.resize(n);
+  plan_dst_.resize(n);
+  plan_group_.resize(n);
+  decay_active_.resize(num_shards_);
   shard_sink_.assign(num_shards_, nullptr);
   shard_sink_slot_.assign(num_shards_, kNoBankSlot);
-  for (uint32_t i = 0; i < nr; ++i) {
-    const ObjectId id = reserves[i];
-    Reserve* r = kernel_->LookupTyped<Reserve>(id);
-    const uint32_t s = reserve_shard_[i];
-    const uint32_t slot = cursor[s]++;
-    r->AttachBank(&rbank_, slot, kernel_->HandleOf(id));
-    r->set_in_decay_list(false);
-    if (id == battery_reserve_ || r->kind() != ResourceKind::kEnergy) {
-      if (r->decay_listener() == this) {
-        r->DetachDecayListener();
-      }
-      continue;
-    }
-    r->AttachDecayListener(this, s);
-    rbank_.set_flag(slot, ReserveStateBank::kDecayWired, true);
-    ++assigned[s];
-    if (reserve_stray_[i] != 0) {
-      // A round-robined stray is in the shard for load balance only: its
-      // leakage goes to the battery root (it has no component whose pool
-      // could rightfully claim it), and it can never be the shard's sink.
-      rbank_.set_flag(slot, ReserveStateBank::kStrayShard, true);
-    } else if (shard_sink_slot_[s] == kNoBankSlot) {
-      shard_sink_slot_[s] = slot;  // Id order: first wired == smallest id.
-      shard_sink_[s] = r;
-    }
-  }
-  decay_active_.assign(num_shards_, {});
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    decay_active_[s].reserve(assigned[s]);
-  }
-  for (uint32_t i = 0; i < nr; ++i) {
-    Reserve* r = kernel_->LookupTyped<Reserve>(reserves[i]);
-    if (r->decay_listener() != this) {
-      continue;
-    }
-    if (!r->decay_exempt() && r->level() > 0) {
-      decay_active_[r->decay_shard()].push_back(r->bank_slot());
-      r->set_in_decay_list(true);
-    }
-  }
-
-  // ---- Plan entries: counting sort into shard-major order, stable so each
-  // shard keeps tap-id order (the order the unsharded engine flows in).
-  if (multi) {
-    sorted_resolved_.resize(n);
-    std::vector<uint32_t> entry_cursor(shard_plan_begin_.begin(), shard_plan_begin_.end() - 1);
-    for (uint32_t i = 0; i < n; ++i) {
-      sorted_resolved_[entry_cursor[entry_shard_[i]]++] = resolved_[i];
-    }
-    resolved_.swap(sorted_resolved_);
-    // Keep the capacity for the next rebuild but drop the stale entries: raw
-    // Tap*/Reserve* pointers must not outlive their objects.
-    sorted_resolved_.clear();
-  }
-
-  // Padded per-entry index ranges: the mutable per-entry arrays (want_, tap
-  // carry/transferred/rate/flags) use ti = shard_want_begin_[s] + (i -
-  // shard_plan_begin_[s]) so each unit's slice starts on a cache line; the
-  // dense plan arrays stay compact.
-  shard_want_begin_.assign(num_shards_ + 1, 0);
-  uint32_t next_want = 0;
-  for (uint32_t u = 0; u < num_units; ++u) {
-    next_want = pad(next_want);
-    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
-      shard_want_begin_[s] = next_want;
-      next_want += shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-    }
-  }
-  shard_want_begin_[num_shards_] = next_want;
-  want_base_ = bank_internal::Align64(want_, next_want);
-  tbank_.Reset(next_want);
-
-  // Demand groups (taps sharing a source reserve), numbered contiguously per
-  // shard so each shard owns a disjoint slice of group_demand_; unit slices
-  // are padded to cache-line boundaries like the slot and want slices.
-  // Padding slots belong to the preceding shard (its fill covers them) and
-  // no group index ever points at one.
-  shard_group_begin_.assign(num_shards_ + 1, 0);
   shard_group_count_.assign(num_shards_, 0);
-  plan_src_.assign(n, 0);
-  plan_dst_.assign(n, 0);
-  plan_group_.assign(n, 0);
-  std::unordered_map<ObjectId, uint32_t> source_group;
-  uint32_t next_group = 0;
-  for (uint32_t u = 0; u < num_units; ++u) {
-    next_group = pad(next_group);
-    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
-      shard_group_begin_[s] = next_group;
-      source_group.clear();
-      for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
-        const ResolvedTap& e = resolved_[i];
-        auto [it, inserted] = source_group.emplace(e.tap->source(), next_group);
-        if (inserted) {
-          ++next_group;
-        }
-        plan_group_[i] = it->second;
-        plan_src_[i] = e.src->bank_slot();
-        plan_dst_[i] = e.dst->bank_slot();
-        const uint32_t ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]);
-        e.tap->AttachBank(&tbank_, ti, kernel_->HandleOf(e.tap->id()));
-      }
-      shard_group_count_[s] = next_group - shard_group_begin_[s];
-    }
-  }
-  shard_group_begin_[num_shards_] = next_group;
-  group_base_ = bank_internal::Align64(group_demand_, next_group);
-  // Per-group metadata for the range split: the source's slot (group <->
-  // source is a bijection within a shard) and the entry count, so the
-  // classification step and the slow-entry accounting need no extra sweeps
-  // per batch. Cheap enough to keep for every plan.
-  group_src_slot_.assign(next_group, 0);
-  group_size_.assign(next_group, 0);
-  group_fast_.assign(next_group, 1);
-  for (uint32_t i = 0; i < n; ++i) {
-    group_src_slot_[plan_group_[i]] = plan_src_[i];
-    ++group_size_[plan_group_[i]];
-  }
-
-  scratch_.assign(num_shards_, ShardScratch{});
   stats_.assign(num_shards_, ShardStats{});
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    stats_[s].taps = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-    stats_[s].decay_reserves = assigned[s];
+    FillShard(s, resv_order_.data() + resv_begin_[s], resv_begin_[s + 1] - resv_begin_[s],
+              entry_order_.data() + entry_begin_[s]);
   }
+  // Groups never outnumber entries, so the per-entry spare bounds theirs.
+  group_capacity_ = shard_group_begin_.back() + Spare(headroom, want);
+  group_base_ =
+      bank_internal::Align64(group_demand_, shard_group_begin_.back(), group_capacity_);
+  IndexGroups(0);
+  shard_live_.assign(num_shards_, 1);
+  live_shards_ = num_shards_;
+  scratch_.assign(num_shards_, ShardScratch{});
   BuildSplitPlan();
   BuildTicketTables();
 
   if (telem_ != nullptr && telem_->enabled()) {
-    EmitPlanRecords();
+    EmitPlanRecords(/*all=*/true, 0, 0);
   }
 
   // The plan no longer needs the resolved pointers; drop them eagerly (the
   // capacity stays for the next rebuild).
   resolved_.clear();
-
-  battery_cache_ = kernel_->LookupTyped<Reserve>(battery_reserve_);
+  plan_headroom_ = headroom;
   // Attaching the objects to this engine's banks stranded any sibling
-  // engine's snapshot; bump the epoch so a sibling re-snapshots (its next
+  // engine's snapshot; bump the epochs so a sibling re-snapshots (its next
   // AttachBank writes our live values back through this bank first) instead
   // of batch-running stale arrays. Engines alternating on one kernel rebuild
   // every batch — correct, just not the fast path.
   kernel_->InvalidateCaches();
-  plan_epoch_ = kernel_->mutation_epoch();
-  plan_valid_ = true;
+  StampPlan();
 }
 
-void TapEngine::BuildUnits() {
-  unit_shard_begin_.assign(1, 0);
-  if (num_shards_ > 1) {
-    // Consecutive shards in index order, closing a unit once it holds
-    // kUnitEntries of plan entries plus reserves. The counts are the
-    // partitioner's component sizes — topology-stable, so a label flap that
-    // hides a few taps cannot move unit boundaries (or the padding) between
-    // rebuilds. Range-split candidates, which run their own tickets, and
-    // shards that reach the threshold alone are units of one.
-    const ShardLayout& layout = partitioner_->layout();
-    uint32_t weight = 0;
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      const uint32_t w = layout.shard_edges[s] + layout.shard_reserves[s];
-      const uint32_t entries = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
-      if (w >= kUnitEntries || SplitCandidate(s, entries)) {
-        if (unit_shard_begin_.back() != s) {
-          unit_shard_begin_.push_back(s);  // Close the open unit first.
-        }
-        unit_shard_begin_.push_back(s + 1);
-        weight = 0;
-        continue;
-      }
-      weight += w;
-      if (weight >= kUnitEntries) {
-        unit_shard_begin_.push_back(s + 1);
-        weight = 0;
+bool TapEngine::TryUpdatePlan() {
+  const uint32_t mask = telem_ != nullptr ? telem_->record_mask() : 0;
+  if (!plan_valid_ || !sharding_ || kernel_->access_epoch() != plan_access_epoch_ ||
+      split_.min_entries != plan_split_.min_entries || split_.ranges != plan_split_.ranges ||
+      mask != plan_record_mask_) {
+    return false;
+  }
+  if (kernel_->topology_epoch() == plan_topology_epoch_) {
+    // No reserve or tap came or went: only objects the plan does not hold
+    // changed (threads, containers, moves).
+    StampPlan();
+    return true;
+  }
+  const ShardLayout& layout = partitioner_->layout();
+  const uint32_t old_shards = num_shards_;
+  // A plan without components holds a placeholder shard 0, which the first
+  // new component would collide with.
+  if (layout.num_shards != old_shards) {
+    return false;
+  }
+  retired_.clear();
+  if (!partitioner_->Update(*kernel_, pending_deletes_, &retired_)) {
+    return false;
+  }
+  for (const uint32_t s : retired_) {
+    if (split_of_shard_[s] != kNoSplit) {
+      return false;
+    }
+  }
+  const uint32_t added = layout.num_shards - old_shards;
+
+  // ---- The new plan entries: registered taps past the plan's largest tap
+  // id, each in a new shard (Update checked that new taps touch only new
+  // reserves), bucketed by new shard.
+  resolved_.clear();
+  entry_shard_.clear();
+  for (auto it = std::upper_bound(taps_.begin(), taps_.end(), plan_tap_horizon_);
+       it != taps_.end(); ++it) {
+    Tap* tap = kernel_->LookupTyped<Tap>(*it);
+    Reserve* src = tap != nullptr ? kernel_->LookupTyped<Reserve>(tap->source()) : nullptr;
+    Reserve* dst = tap != nullptr ? kernel_->LookupTyped<Reserve>(tap->sink()) : nullptr;
+    if (src == nullptr || dst == nullptr ||
+        !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *src) ||
+        !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *dst)) {
+      continue;
+    }
+    const uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(tap->source()));
+    if (s == ShardLayout::kNoShard || s < old_shards) {
+      return false;  // Unreachable: the edge is live and new.
+    }
+    resolved_.push_back({tap, src, dst});
+    entry_shard_.push_back(s - old_shards);
+  }
+  BucketOrder(entry_shard_, added, &entry_begin_, &entry_order_);
+
+  // ---- The new reserves, past the plan's largest reserve id: component
+  // members bucketed by new shard, strays (the last bucket) to the tail
+  // shard after the strays the retired shards hosted.
+  strays_.clear();
+  for (const uint32_t s : retired_) {
+    for (uint32_t slot = shard_slot_begin_[s]; slot < shard_slot_begin_[s + 1]; ++slot) {
+      Reserve* r = kernel_->LookupTyped<Reserve>(rbank_.handle(slot));
+      if (r != nullptr && r->bank() == &rbank_ && r->bank_slot() == slot) {
+        strays_.push_back(r);  // Alive in a departed component: a stray.
       }
     }
   }
-  if (unit_shard_begin_.back() != num_shards_) {
-    unit_shard_begin_.push_back(num_shards_);
+  const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
+  const auto nr = static_cast<uint32_t>(reserves.size());
+  resv_first_ = static_cast<uint32_t>(
+      std::upper_bound(reserves.begin(), reserves.end(), plan_reserve_horizon_) -
+      reserves.begin());
+  reserve_shard_.clear();
+  for (uint32_t i = resv_first_; i < nr; ++i) {
+    const uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(reserves[i]));
+    if (s == ShardLayout::kNoShard) {
+      strays_.push_back(kernel_->LookupTyped<Reserve>(reserves[i]));
+    }
+    reserve_shard_.push_back(s == ShardLayout::kNoShard ? added : s - old_shards);
+  }
+  BucketOrder(reserve_shard_, added + 1, &resv_begin_, &resv_order_);
+  reserve_stray_.assign(nr - resv_first_, 0);
+  for (uint32_t& i : resv_order_) {
+    i += resv_first_;  // Kernel reserve-index space, like a full rebuild's.
+  }
+  const uint32_t tail = layout.num_shards - 1;
+  if (!strays_.empty() && added == 0 &&
+      (shard_live_[tail] == 0 ||
+       std::find(retired_.begin(), retired_.end(), tail) != retired_.end())) {
+    return false;  // No live tail shard to host them.
+  }
+
+  // ---- Place the new shards at the tail and check that everything fits
+  // the headroom. Past this point the update cannot fail.
+  const uint32_t old_units = unit_count();
+  const uint32_t first_slot = shard_slot_begin_.back();
+  for (uint32_t k = 0; k < added; ++k) {
+    const uint32_t entries = entry_begin_[k + 1] - entry_begin_[k];
+    if (SplitCandidate(old_shards + k, entries)) {
+      return false;
+    }
+    PlaceShard(old_shards + k, resv_begin_[k + 1] - resv_begin_[k], entries);
+  }
+  const auto slots = static_cast<uint32_t>(shard_slot_begin_.back() + strays_.size());
+  const uint32_t want = shard_want_begin_.back();
+  const auto group_bound = static_cast<uint32_t>(shard_group_begin_.back() +
+                                                 (unit_count() - old_units) * kAlign +
+                                                 resolved_.size());
+  if (slots > rbank_.capacity() || want > tbank_.capacity() || group_bound > group_capacity_) {
+    return false;
+  }
+
+  // ---- Apply: fill the new shards, home the strays, retire the departed
+  // shards.
+  changed_shards_.clear();
+  rbank_.Grow(slots);
+  tbank_.Grow(want);
+  bank_internal::Grow64(want_, want);
+  const auto first_entry = static_cast<uint32_t>(plan_src_.size());
+  const auto n = static_cast<uint32_t>(first_entry + resolved_.size());
+  plan_src_.resize(n);
+  plan_dst_.resize(n);
+  plan_group_.resize(n);
+  num_shards_ = layout.num_shards;
+  live_shards_ += added - static_cast<uint32_t>(retired_.size());
+  decay_active_.resize(num_shards_);
+  shard_sink_.resize(num_shards_, nullptr);
+  shard_sink_slot_.resize(num_shards_, kNoBankSlot);
+  shard_group_count_.resize(num_shards_, 0);
+  stats_.resize(num_shards_, ShardStats{});
+  shard_live_.resize(num_shards_, 1);
+  scratch_.resize(num_shards_, ShardScratch{});
+  split_of_shard_.resize(num_shards_, kNoSplit);
+  for (uint32_t k = 0; k < added; ++k) {
+    FillShard(old_shards + k, resv_order_.data() + resv_begin_[k],
+              resv_begin_[k + 1] - resv_begin_[k], entry_order_.data() + entry_begin_[k]);
+    changed_shards_.push_back(old_shards + k);
+  }
+  if (!strays_.empty()) {
+    std::vector<uint32_t>& list = decay_active_[tail];
+    list.reserve(list.capacity() + strays_.size());
+    for (Reserve* r : strays_) {
+      PlaceStray(r);
+    }
+    changed_shards_.push_back(tail);
+  }
+  for (const uint32_t s : retired_) {
+    RetireShard(s);
+  }
+  bank_internal::Grow64(group_demand_, shard_group_begin_.back());
+  IndexGroups(first_entry);
+  BuildTicketTables();
+  if (telem_ != nullptr && telem_->enabled()) {
+    EmitPlanRecords(/*all=*/false, first_entry, first_slot);
+  }
+  resolved_.clear();
+  strays_.clear();
+  // New objects are attached and strays moved: level cells changed, so
+  // epoch-keyed caches (the scheduler's, a sibling engine's plan) must
+  // re-resolve, as after a full rebuild.
+  kernel_->InvalidateCaches();
+  StampPlan();
+  return true;
+}
+
+void TapEngine::PlaceShard(uint32_t s, uint32_t reserves, uint32_t entries) {
+  uint32_t weight = 0;
+  if (sharding_ && s < partitioner_->layout().num_shards) {
+    // The partitioner's component sizes — topology-stable, so a label flap
+    // that hides a few taps cannot move unit boundaries (or the padding)
+    // between rebuilds.
+    weight = partitioner_->layout().shard_edges[s] + partitioner_->layout().shard_reserves[s];
+  }
+  const bool alone = weight >= kUnitEntries || SplitCandidate(s, entries);
+  if (alone || !unit_open_) {
+    // A new unit. One thread writes a whole unit, so only unit starts are
+    // padded: reserve slots to a full 64 (the bank's flags array is one byte
+    // per slot and its decay-list bits are written from worker threads, so
+    // only a 64-slot boundary keeps adjacent units' flag slices off a shared
+    // line; the 8-byte arrays get 512-byte alignment for free), per-entry
+    // slots to a cache line of doubles.
+    unit_shard_begin_.push_back(s + 1);
+    unit_size_.push_back(0);
+    shard_slot_begin_.back() = PadTo(shard_slot_begin_.back(), kSlotAlign);
+    shard_want_begin_.back() = PadTo(shard_want_begin_.back(), kAlign);
+    unit_open_ = !alone;
+    unit_weight_ = 0;
+  } else {
+    unit_shard_begin_.back() = s + 1;
+  }
+  if (unit_open_) {
+    unit_weight_ += weight;
+    unit_open_ = unit_weight_ < kUnitEntries;
+  }
+  shard_unit_.push_back(unit_count() - 1);
+  shard_slot_begin_.push_back(shard_slot_begin_.back() + reserves);
+  shard_want_begin_.push_back(shard_want_begin_.back() + entries);
+  shard_plan_begin_.push_back(shard_plan_begin_.back() + entries);
+}
+
+void TapEngine::FillShard(uint32_t s, const uint32_t* resv, uint32_t reserves,
+                          const uint32_t* entry) {
+  // Reserves, in id order: the first decay-wired non-stray becomes the sink.
+  const std::vector<ObjectId>& ids = kernel_->ObjectsOfType(ObjectType::kReserve);
+  decay_active_[s].clear();
+  decay_active_[s].reserve(reserves);
+  uint32_t wired = 0;
+  for (uint32_t k = 0; k < reserves; ++k) {
+    const uint32_t i = resv[k];
+    wired += WireReserve(kernel_->LookupTyped<Reserve>(ids[i]), shard_slot_begin_[s] + k, s,
+                         reserve_stray_[i - resv_first_] != 0)
+                 ? 1
+                 : 0;
+  }
+  // Entries in tap-id order. Demand groups (taps sharing a source reserve)
+  // are numbered in first-use order through a table indexed by the source's
+  // bank slot within the shard (a source is a component member, so its slot
+  // is in the shard's range), so the shard owns a contiguous slice of
+  // group_demand_, padded at unit starts like the slot and want slices.
+  // Padding belongs to the preceding shard (its fill covers it); no group
+  // index points at it.
+  uint32_t group = shard_group_begin_.back();
+  if (unit_shard_begin_[shard_unit_[s]] == s) {
+    group = PadTo(group, kAlign);
+    shard_group_begin_.back() = group;
+  }
+  const uint32_t first_group = group;
+  const uint32_t pb = shard_plan_begin_[s];
+  const uint32_t entries = shard_plan_begin_[s + 1] - pb;
+  group_of_src_.assign(entries > 0 ? reserves : 0, kNoBankSlot);
+  for (uint32_t k = 0; k < entries; ++k) {
+    const ResolvedTap& e = resolved_[entry[k]];
+    const uint32_t src = e.src->bank_slot();
+    uint32_t& g = group_of_src_[src - shard_slot_begin_[s]];
+    if (g == kNoBankSlot) {
+      g = group++;
+    }
+    plan_src_[pb + k] = src;
+    plan_dst_[pb + k] = e.dst->bank_slot();
+    plan_group_[pb + k] = g;
+    e.tap->AttachBank(&tbank_, shard_want_begin_[s] + k, kernel_->HandleOf(e.tap->id()));
+  }
+  shard_group_begin_.push_back(group);
+  shard_group_count_[s] = group - first_group;
+  stats_[s] = ShardStats{entries, wired};
+  unit_size_[shard_unit_[s]] += entries + wired;
+}
+
+bool TapEngine::WireReserve(Reserve* r, uint32_t slot, uint32_t shard, bool stray) {
+  r->AttachBank(&rbank_, slot, kernel_->HandleOf(r->id()));
+  // Energy reserves (the battery excluded) get the decay listener and
+  // count toward their shard's skip-list capacity.
+  if (r->id() == battery_reserve_ || r->kind() != ResourceKind::kEnergy) {
+    r->set_in_decay_list(false);
+    if (r->decay_listener() == this) {
+      r->DetachDecayListener();
+    }
+    return false;
+  }
+  r->AttachDecayListener(this, shard);
+  rbank_.set_flag(slot, ReserveStateBank::kDecayWired, true);
+  if (stray) {
+    // A stray is in the shard for load balance only: its leakage goes to
+    // the battery root (it has no component whose pool could rightfully
+    // claim it), and it can never be the shard's sink.
+    rbank_.set_flag(slot, ReserveStateBank::kStrayShard, true);
+  } else if (shard_sink_slot_[shard] == kNoBankSlot) {
+    shard_sink_slot_[shard] = slot;  // Id order: first wired == smallest id.
+    shard_sink_[shard] = r;
+  }
+  const bool decaying = !r->decay_exempt() && r->level() > 0;
+  r->set_in_decay_list(decaying);
+  if (decaying) {
+    decay_active_[shard].push_back(slot);
+  }
+  return true;
+}
+
+void TapEngine::PlaceStray(Reserve* r) {
+  const uint32_t tail = num_shards_ - 1;
+  // The tail shard's slot range ends the bank, so it grows in place.
+  const uint32_t slot = shard_slot_begin_.back()++;
+  if (WireReserve(r, slot, tail, /*stray=*/true)) {
+    ++stats_[tail].decay_reserves;
+    ++unit_size_[shard_unit_[tail]];
+  }
+}
+
+void TapEngine::RetireShard(uint32_t s) {
+  shard_live_[s] = 0;
+  shard_sink_[s] = nullptr;  // Its object is gone.
+  shard_sink_slot_[s] = kNoBankSlot;
+  decay_active_[s].clear();
+  unit_size_[shard_unit_[s]] -= stats_[s].taps + stats_[s].decay_reserves;
+  // Every object the slices held is dead (or was re-homed): zero them, so
+  // the next full rebuild's write-back skips them too.
+  for (uint32_t slot = shard_slot_begin_[s]; slot < shard_slot_begin_[s + 1]; ++slot) {
+    rbank_.ClearSlot(slot);
+  }
+  const uint32_t entries = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
+  for (uint32_t ti = shard_want_begin_[s]; ti < shard_want_begin_[s] + entries; ++ti) {
+    tbank_.ClearSlot(ti);
+  }
+  stats_[s] = ShardStats{};
+  changed_shards_.push_back(s);
+}
+
+uint32_t TapEngine::ShardOfSlot(uint32_t slot) const {
+  // The first num_shards_ + 1 begins are non-decreasing; an empty shard
+  // shares its begin with the next, and upper_bound skips past both.
+  const auto end = shard_slot_begin_.begin() + num_shards_;
+  return static_cast<uint32_t>(std::upper_bound(shard_slot_begin_.begin(), end, slot) -
+                               shard_slot_begin_.begin()) -
+         1;
+}
+
+void TapEngine::IndexGroups(uint32_t first) {
+  // Per-group metadata for the range split: the source's slot (group <->
+  // source is a bijection within a shard) and the entry count, so the
+  // classification step and the slow-entry accounting need no extra sweeps
+  // per batch. Cheap enough to keep for every plan.
+  if (first == 0) {
+    group_src_slot_.clear();
+    group_size_.clear();
+    group_fast_.clear();
+  }
+  const uint32_t groups = shard_group_begin_.back();
+  group_src_slot_.resize(groups, 0);
+  group_size_.resize(groups, 0);
+  group_fast_.resize(groups, 1);
+  for (uint32_t i = first; i < plan_group_.size(); ++i) {
+    group_src_slot_[plan_group_[i]] = plan_src_[i];
+    ++group_size_[plan_group_[i]];
   }
 }
 
@@ -568,18 +831,12 @@ void TapEngine::BuildTicketTables() {
   tickets_pass1_.clear();
   tickets_pass2_.clear();
   const uint32_t nu = unit_count();
-  std::vector<uint64_t> unit_size(nu, 0);
-  for (uint32_t u = 0; u < nu; ++u) {
-    for (uint32_t s = unit_shard_begin_[u]; s < unit_shard_begin_[u + 1]; ++s) {
-      unit_size[u] += stats_[s].taps + stats_[s].decay_reserves;
-    }
-  }
-  std::vector<uint32_t> order(nu);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return unit_size[a] > unit_size[b]; });
+  unit_order_.resize(nu);
+  std::iota(unit_order_.begin(), unit_order_.end(), 0u);
+  std::stable_sort(unit_order_.begin(), unit_order_.end(),
+                   [&](uint32_t a, uint32_t b) { return unit_size_[a] > unit_size_[b]; });
   const uint32_t k = split_k_;
-  for (const uint32_t u : order) {
+  for (const uint32_t u : unit_order_) {
     const uint32_t s = unit_shard_begin_[u];
     const uint32_t count = unit_shard_begin_[u + 1] - s;
     const uint32_t split = split_of_shard_[s];
@@ -600,21 +857,22 @@ void TapEngine::BuildTicketTables() {
   }
 }
 
-void TapEngine::EmitPlanRecords() {
-  // Rebuild-time, main thread: one writer ring per pool slot (the caller is
+void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_slot) {
+  // Plan time, main thread: one writer ring per pool slot (the caller is
   // slot 0), each grown by every record this plan can emit in one batch —
   // any one worker may run every ticket, so no batch can overwrite a record.
-  // Only the enabled kinds count: per shard a kShardBatch and up to two
-  // decay-leak deposits (its sink's and its strays' battery deposit), per
-  // ticket a kDispatch and a timing record. The opt-in per-tap and
-  // per-reserve kinds are not budgeted.
+  // Only the enabled kinds count: per live shard (appended ones included;
+  // retired ones emit nothing) a kShardBatch and up to two decay-leak
+  // deposits (its sink's and its strays' battery deposit), per ticket a
+  // kDispatch and a timing record. The opt-in per-tap and per-reserve kinds
+  // are not budgeted.
   const auto tickets = static_cast<uint32_t>(tickets_pass1_.size() + tickets_pass2_.size());
   uint32_t batch_records = 0;
   if (telem_->on(RecordKind::kShardBatch)) {
-    batch_records += num_shards_;
+    batch_records += live_shards_;
   }
   if (telem_->on(RecordKind::kReserveDeposit)) {
-    batch_records += 2 * num_shards_;
+    batch_records += 2 * live_shards_;
   }
   if (telem_->on(RecordKind::kDispatch)) {
     batch_records += tickets;
@@ -622,36 +880,63 @@ void TapEngine::EmitPlanRecords() {
   if (telem_->on(RecordKind::kShardTiming) || telem_->on(RecordKind::kRangeTiming)) {
     batch_records += tickets;
   }
-  telem_->EnsureWriters(
-      executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1, batch_records);
+  // Asked for in steps, so the few records a compaction or an update's new
+  // unit adds rarely regrow (re-allocate and re-zero) every ring. Rings never
+  // shrink: an update only grows them when its budget is past the largest
+  // asked for.
+  constexpr uint32_t kBudgetStep = 256;
+  batch_records = PadTo(batch_records, kBudgetStep);
+  if (all || batch_records > ring_budget_) {
+    ring_budget_ = std::max(ring_budget_, batch_records);
+    telem_->EnsureWriters(
+        executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1, ring_budget_);
+  }
   // The plan tables go straight into the spill — they scale with the plan,
-  // not with any ring's capacity.
-  for (uint32_t s = 0; s < num_shards_; ++s) {
+  // not with any ring's capacity. A full rebuild writes a row per shard; an
+  // update only the shards it changed (a retired shard's row has taps 0).
+  const auto shard_row = [this](uint32_t s) {
     telem_->EmitSpill(RecordKind::kPlanShard, s, static_cast<uint16_t>(stats_[s].ranges), 0,
                       stats_[s].taps, stats_[s].decay_reserves);
+  };
+  if (all) {
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      shard_row(s);
+    }
+  } else {
+    std::sort(changed_shards_.begin(), changed_shards_.end());
+    changed_shards_.erase(std::unique(changed_shards_.begin(), changed_shards_.end()),
+                          changed_shards_.end());
+    for (const uint32_t s : changed_shards_) {
+      shard_row(s);
+    }
   }
   if (telem_->on(RecordKind::kPlanTap)) {
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      for (uint32_t i = shard_plan_begin_[s]; i < shard_plan_begin_[s + 1]; ++i) {
-        const ResolvedTap& e = resolved_[i];
-        const auto endpoints = static_cast<int64_t>(
-            (static_cast<uint64_t>(e.src->id()) & 0xffffffffull) << 32 |
-            (static_cast<uint64_t>(e.dst->id()) & 0xffffffffull));
-        telem_->EmitSpill(RecordKind::kPlanTap, i, static_cast<uint16_t>(s & 0xffff), 0,
-                          static_cast<int64_t>(e.tap->id()), endpoints);
+    // Plan entry i was laid out from resolved_[entry_order_[i - first_entry]].
+    uint32_t s = 0;
+    for (auto i = first_entry; i < plan_src_.size(); ++i) {
+      while (i >= shard_plan_begin_[s + 1]) {
+        ++s;
       }
+      const ResolvedTap& e = resolved_[entry_order_[i - first_entry]];
+      const auto endpoints = static_cast<int64_t>(
+          (static_cast<uint64_t>(e.src->id()) & 0xffffffffull) << 32 |
+          (static_cast<uint64_t>(e.dst->id()) & 0xffffffffull));
+      telem_->EmitSpill(RecordKind::kPlanTap, i, static_cast<uint16_t>(s & 0xffff), 0,
+                        static_cast<int64_t>(e.tap->id()), endpoints);
     }
   }
   if (telem_->on(RecordKind::kPlanReserve)) {
-    const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
-    for (size_t i = 0; i < reserves.size(); ++i) {
-      const Reserve* r = kernel_->LookupTyped<Reserve>(reserves[i]);
-      if (r == nullptr || !r->bank_attached()) {
-        continue;
+    uint32_t s = first_slot < rbank_.size() ? ShardOfSlot(first_slot) : 0;
+    for (uint32_t slot = first_slot; slot < rbank_.size(); ++slot) {
+      while (slot >= shard_slot_begin_[s + 1]) {
+        ++s;
       }
-      telem_->EmitSpill(RecordKind::kPlanReserve, r->bank_slot(),
-                        static_cast<uint16_t>(reserve_shard_[i] & 0xffff), 0,
-                        static_cast<int64_t>(reserves[i]), 0);
+      const Reserve* r = kernel_->LookupTyped<Reserve>(rbank_.handle(slot));
+      if (r == nullptr) {
+        continue;  // Padding.
+      }
+      telem_->EmitSpill(RecordKind::kPlanReserve, slot, static_cast<uint16_t>(s & 0xffff), 0,
+                        static_cast<int64_t>(r->id()), 0);
     }
   }
 }
@@ -665,9 +950,7 @@ void TapEngine::RunBatch(Duration dt) {
   if (!dt.IsPositive()) {
     return;
   }
-  if (!PlanIsCurrent()) {
-    RebuildPlan();
-  }
+  UpdatePlan();
   // The batch loops write reserve levels through the state-bank arrays, not
   // through Reserve's named mutators, so the scheduler's run plan would not
   // see the movement. Compare the flow totals on exit: a batch that moved
@@ -703,7 +986,7 @@ void TapEngine::RunBatch(Duration dt) {
   telem_taps_ = (tmask & RecordBit(RecordKind::kTapTransfer)) != 0;
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
-  if (num_shards_ == 1 && split_shards_.empty()) {
+  if (num_shards_ == 1 && split_shards_.empty() && shard_live_[0] != 0) {
     // One-shard plan (the unsharded engine, a one-component fleet): its one
     // unit inline, without the ticket loop and the scratch round trip. The
     // same work as the general path, whose fixed cost is 18–70% of
@@ -713,7 +996,7 @@ void TapEngine::RunBatch(Duration dt) {
     const DecayResult dr = decay_.enabled ? DecayShard(0) : DecayResult{};
     if (telem_shard_batch_ || telem_shard_timing_) {
       scratch_[0] = ShardScratch{flow, dr};
-      EmitUnitRecords(0, 1, t0);
+      EmitUnitRecords(0, 1, 1, t0);
     }
     MergeShard(0, flow, dr);
     if (telem_on_) {
@@ -751,7 +1034,9 @@ void TapEngine::RunBatch(Duration dt) {
   // the unsharded engine, where every tap reads the battery before the decay
   // pass touches it.
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    MergeShard(s, scratch_[s].tap_flow, scratch_[s].decay);
+    if (shard_live_[s] != 0) {
+      MergeShard(s, scratch_[s].tap_flow, scratch_[s].decay);
+    }
   }
   // One frame per batch: drain every worker ring into the spill (we are past
   // the executor's happens-before edge) and stamp the mark.
@@ -773,17 +1058,22 @@ void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
 
 void TapEngine::RunUnit(uint32_t first, uint32_t count) {
   const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
+  uint32_t ran = 0;
   for (uint32_t shard = first; shard < first + count; ++shard) {
+    if (shard_live_[shard] == 0) {
+      continue;  // Retired by an in-place update.
+    }
     ShardScratch& sc = scratch_[shard];
     sc.tap_flow = RunShardTaps(shard);
     sc.decay = decay_.enabled ? DecayShard(shard) : DecayResult{};
+    ++ran;
   }
   if (telem_shard_batch_ || telem_shard_timing_) {
-    EmitUnitRecords(first, count, t0);
+    EmitUnitRecords(first, count, ran, t0);
   }
 }
 
-void TapEngine::EmitUnitRecords(uint32_t first, uint32_t count, int64_t t0) {
+void TapEngine::EmitUnitRecords(uint32_t first, uint32_t count, uint32_t ran, int64_t t0) {
   // This worker's own ring (single-writer); null when the domain has no
   // ring for the slot — then the records are skipped, never misfiled.
   const uint32_t slot = ShardExecutor::current_worker_slot();
@@ -794,13 +1084,17 @@ void TapEngine::EmitUnitRecords(uint32_t first, uint32_t count, int64_t t0) {
   const int64_t now = telem_->time_us();
   if (telem_shard_batch_) {
     for (uint32_t shard = first; shard < first + count; ++shard) {
-      ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, scratch_[shard].tap_flow,
-                 scratch_[shard].decay.flow);
+      if (shard_live_[shard] != 0) {
+        ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, scratch_[shard].tap_flow,
+                   scratch_[shard].decay.flow);
+      }
     }
   }
-  if (telem_shard_timing_) {
+  // A unit whose shards all retired ran nothing: no timing record (a v1 of
+  // 0 reads as one shard-batch).
+  if (telem_shard_timing_ && ran > 0) {
     ring->Emit(now, RecordKind::kShardTiming, first, static_cast<uint16_t>(slot), 0,
-               NowNs() - t0, count);
+               NowNs() - t0, ran);
   }
 }
 
@@ -1308,18 +1602,27 @@ std::vector<ObjectId> TapEngine::TapsFromSource(ObjectId reserve) const {
   return out;
 }
 
-void TapEngine::OnObjectDeleted(ObjectId id, ObjectType type) {
+void TapEngine::OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handle) {
   if (type == ObjectType::kTap) {
     auto it = std::lower_bound(taps_.begin(), taps_.end(), id);
     if (it != taps_.end() && *it == id) {
       taps_.erase(it);
     }
   }
-  // The kernel bumps its mutation epoch on every delete; drop the plan
-  // eagerly rather than risk a stale read before the next epoch check. The
-  // bank stays live for the surviving attached objects until the rebuild
-  // writes it back (dead slots are skipped via their stale handles).
-  plan_valid_ = false;
+  // Only reserves and taps shape the plan; any other delete just moves the
+  // mutation epoch, which the next UpdatePlan re-stamps. Until then no batch
+  // runs, and the bank stays live for the surviving attached objects (dead
+  // slots are skipped via their stale handles).
+  if ((type != ObjectType::kReserve && type != ObjectType::kTap) || !plan_valid_ || !sharding_) {
+    return;  // Nothing to queue: no plan, or the next build is full anyway.
+  }
+  // Past the plan's own size a full rebuild costs no more than the update.
+  if (pending_deletes_.size() > rbank_.size() + tbank_.size() + kUnitEntries) {
+    pending_deletes_.clear();
+    plan_valid_ = false;
+    return;
+  }
+  pending_deletes_.push_back(handle);
 }
 
 }  // namespace cinder

@@ -34,6 +34,16 @@
 // Reserve/Tap objects read/write through their slot while attached and get
 // the state written back on plan invalidation (see src/core/state_bank.h for
 // the contract).
+//
+// Incremental re-plan: when the only topology changes since the last plan
+// are whole components leaving (every reserve and tap of the shard deleted)
+// and new components joining (their taps touch only new reserves), the
+// engine retires the departed shards in place and appends the new ones at
+// the tail of the plan, banks and ticket table, touching only the objects
+// that changed. Every other change runs the full RebuildPlan, which is also
+// the compaction step. The live shard sequence an update leaves is exactly
+// the one a full rebuild would compute, so results are bit-identical
+// (docs/PERFORMANCE.md, "PR 17").
 #pragma once
 
 #include <cstdint>
@@ -114,6 +124,14 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // then decay leaks every non-exempt reserve toward the battery.
   void RunBatch(Duration dt);
 
+  // Brings the flow plan up to date with the kernel (RunBatch calls it
+  // first): nothing when it is current, an in-place update when only whole
+  // components left and new ones joined and the additions fit the plan's
+  // headroom, else a full rebuild. The counters say which path ran.
+  void UpdatePlan();
+  uint64_t full_rebuilds() const { return full_rebuilds_; }
+  uint64_t plan_updates() const { return plan_updates_; }
+
   // A work unit closes once its shards hold at least this many plan entries
   // plus decay-wired reserves (the partitioner's edge and reserve counts),
   // and a shard that reaches it alone is a unit of its own. A unit's hot
@@ -122,6 +140,12 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // geometry; docs/PERFORMANCE.md, "Setting kUnitEntries", has the sweep
   // it was set from.
   static constexpr uint32_t kUnitEntries = 1024;
+  // Spare room a full rebuild caused by a topology change reserves at the
+  // tail of the banks and the per-entry and demand-group arrays, as a share
+  // of what the plan uses (and at least kUnitEntries): in-place updates
+  // append new shards there, so no cell moves between full rebuilds. The
+  // first build reserves none, so a fleet that never churns pays nothing.
+  static constexpr double kPlanHeadroom = 0.125;
 
   // -- Sharded execution --------------------------------------------------------
   // Partitions the flow plan into independent per-component shards, grouped
@@ -132,15 +156,19 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void EnableSharding(ShardExecutor* executor);
   void DisableSharding();
   bool sharding_enabled() const { return sharding_; }
-  // Shards in the current plan (1 when sharding is disabled). Valid after a
-  // plan build, i.e. after any batch.
+  // Shards in the current plan (1 when sharding is disabled), counting the
+  // shards in-place updates retired since the last full rebuild. Valid after
+  // a plan build, i.e. after any batch.
   uint32_t shard_count() const { return num_shards_; }
+  // False for a shard an in-place update retired: it runs nothing.
+  bool shard_live(uint32_t s) const { return shard_live_[s] != 0; }
   // Work units in the current plan: unit u covers shards
   // [unit_first_shard(u), unit_first_shard(u + 1)).
   uint32_t unit_count() const { return static_cast<uint32_t>(unit_shard_begin_.size()) - 1; }
   uint32_t unit_first_shard(uint32_t u) const { return unit_shard_begin_[u]; }
 
-  // Per-shard accounting since the last plan rebuild (sharded mode).
+  // Per-shard accounting since the last full plan rebuild (sharded mode);
+  // all zero for a retired shard.
   struct ShardStats {
     uint32_t taps = 0;            // Plan entries in the shard.
     uint32_t decay_reserves = 0;  // Energy reserves whose decay runs here.
@@ -159,6 +187,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // engine does not own the domain; null detaches.
   void set_telemetry(TraceDomain* domain) {
     telem_ = domain;
+    ring_budget_ = 0;
     plan_valid_ = false;
   }
   TraceDomain* telemetry() const { return telem_; }
@@ -171,8 +200,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   Quantity total_tap_flow() const { return total_tap_flow_; }
   Quantity total_decay_flow() const { return total_decay_flow_; }
 
-  // KernelObserver: drop deleted taps from the registry.
-  void OnObjectDeleted(ObjectId id, ObjectType type) override;
+  // KernelObserver: drop deleted taps from the registry, and queue reserve
+  // and tap deletions for the next in-place update.
+  void OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handle) override;
 
   // ShardTask (executor-facing): runs a unit ticket (its shards' tap passes
   // and decay slices) or a range ticket of a split shard. Range tickets
@@ -210,11 +240,48 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool PlanIsCurrent() const {
     return plan_valid_ && plan_epoch_ == kernel_->mutation_epoch();
   }
+  // The full rebuild: partition, lay out every shard, size the banks.
   void RebuildPlan();
-  // Groups consecutive shards into work units (unit_shard_begin_) from the
-  // partitioner's component sizes and the per-shard entry counts in
-  // shard_plan_begin_; split candidates stand alone.
-  void BuildUnits();
+  // The spare room for `used` slots or entries: 0 without headroom, else
+  // the kPlanHeadroom share, at least kUnitEntries, plus one unit start's
+  // padding.
+  static uint32_t Spare(bool headroom, uint32_t used) {
+    if (!headroom) {
+      return 0;
+    }
+    const auto share = static_cast<uint32_t>(used * kPlanHeadroom);
+    return (share > kUnitEntries ? share : kUnitEntries) + 64;
+  }
+  // The in-place update (see UpdatePlan); false, having changed nothing
+  // RebuildPlan does not redo, when the change is not the churn shape or
+  // does not fit the headroom.
+  bool TryUpdatePlan();
+  // The per-shard layout both paths share, in two steps. PlaceShard puts
+  // shard `s` (the next index) into the open work unit or a new one —
+  // consecutive shards close a unit once it holds kUnitEntries of
+  // partitioner edges plus reserves; split candidates and shards that
+  // reach that alone are units of one — and reserves its slot, per-entry
+  // and plan ranges at the tail, padded to cache lines at unit starts.
+  // FillShard then attaches its reserves (resv_order_ indices into the
+  // kernel's reserve index) and plan entries (entry_order_ indices into
+  // resolved_) to those ranges: slot and decay wiring, sink, entries,
+  // demand groups, tap attach.
+  void PlaceShard(uint32_t s, uint32_t reserves, uint32_t entries);
+  void FillShard(uint32_t s, const uint32_t* resv, uint32_t reserves, const uint32_t* entry);
+  // Attaches reserve `r` to bank slot `slot` of shard `shard` and wires its
+  // decay (listener, flags, sink, skip-list seed); returns whether it is
+  // decay-wired.
+  bool WireReserve(Reserve* r, uint32_t slot, uint32_t shard, bool stray);
+  // Adds `r` as a stray at the end of the tail shard's slot range.
+  void PlaceStray(Reserve* r);
+  // Retires shard `s` in place: no batch runs, merges or reports it again.
+  void RetireShard(uint32_t s);
+  // The shard whose slot range holds bank slot `slot`.
+  uint32_t ShardOfSlot(uint32_t slot) const;
+  // Per-group metadata for plan entries [first, end).
+  void IndexGroups(uint32_t first);
+  // Stamps the plan as current for the kernel as it is now.
+  void StampPlan();
   // Whether shard `s` with `entries` plan entries is big enough to range
   // split.
   bool SplitCandidate(uint32_t s, uint32_t entries) const;
@@ -223,17 +290,18 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // shared/exclusive destination classification, and the two ticket tables.
   void BuildSplitPlan();
   // The phase ticket tables (pass 1 / pass 2): one unit ticket per plain
-  // unit, plus split ranges, in largest-unit-first order.
+  // unit, plus split ranges, in largest-unit-first order. O(units).
   void BuildTicketTables();
   // Runs one phase's tickets: on the executor when there is one (it runs a
   // single ticket, or a one-worker pool, inline), else serially in order.
   void RunPhase(const std::vector<ShardTicket>& tickets);
   // The shards [first, first + count) of one unit, back to back (tap
   // passes and decay slice, results banked in each shard's scratch), then
-  // its records: one kShardBatch per shard and one kShardTiming for the
-  // unit (timed from `t0`).
+  // its records: one kShardBatch per live shard and one kShardTiming for
+  // the unit (timed from `t0`, counting the `ran` live shards; none when
+  // every shard of the unit retired).
   void RunUnit(uint32_t first, uint32_t count);
-  void EmitUnitRecords(uint32_t first, uint32_t count, int64_t t0);
+  void EmitUnitRecords(uint32_t first, uint32_t count, uint32_t ran, int64_t t0);
   // Folds one shard's batch results into the engine totals and stats and
   // makes its decay-leak deposits (main thread, in shard order).
   void MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay);
@@ -257,15 +325,20 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // the one-shard inline batch compose it with DecayShard.
   Quantity RunShardTaps(uint32_t shard);
   DecayResult DecayShard(uint32_t shard);
-  // Telemetry cold paths: the rebuild-time plan table dump (spill-direct) and
-  // the merge loop's sink-deposit records.
-  void EmitPlanRecords();
+  // Telemetry cold paths: the plan-time ring sizing and table dump
+  // (spill-direct) — kPlanShard rows for every shard (`all`) or only those
+  // in changed_shards_, kPlanTap rows from plan entry `first_entry`,
+  // kPlanReserve rows from bank slot `first_slot` — and the merge loop's
+  // sink-deposit records.
+  void EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_slot);
   void EmitSinkDeposit(const Reserve* sink, Quantity amount);
 
   Kernel* kernel_;
   ObjectId battery_reserve_;
   DecayConfig decay_;
   std::vector<ObjectId> taps_;  // Creation order == id order.
+  uint64_t full_rebuilds_ = 0;
+  uint64_t plan_updates_ = 0;
 
   // -- Cached flow plan (SoA) ---------------------------------------------------
   // Entries are laid out shard-major, tap-id order within a shard (one shard
@@ -287,9 +360,11 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // Per distinct source reserve, indexed through group_base_: the vector is
   // over-allocated so group_base_ can start on a cache-line boundary, which
   // (with the per-unit slice padding in RebuildPlan) gives each unit
-  // exclusive ownership of its demand lines.
+  // exclusive ownership of its demand lines. Holds group_capacity_ groups,
+  // like want_ holds tbank_.capacity() entries.
   std::vector<double> group_demand_;
   double* group_base_ = nullptr;
+  uint32_t group_capacity_ = 0;
   std::vector<uint32_t> shard_group_begin_;
 
   // -- State banks --------------------------------------------------------------
@@ -314,8 +389,19 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<Reserve*> shard_sink_;
   std::vector<uint32_t> shard_sink_slot_;
   // Work units: unit u covers shards [unit_shard_begin_[u],
-  // unit_shard_begin_[u+1]); always at least one unit.
+  // unit_shard_begin_[u+1]); always at least one unit. unit_size_ is each
+  // unit's plan entries plus decay-wired reserves (the ticket order key),
+  // shard_unit_ each shard's unit, and the tail unit takes more shards while
+  // unit_open_, having unit_weight_ of partitioner edges plus reserves.
   std::vector<uint32_t> unit_shard_begin_{0, 1};
+  std::vector<uint32_t> unit_size_;
+  std::vector<uint32_t> shard_unit_;
+  std::vector<uint32_t> unit_order_;  // BuildTicketTables scratch.
+  uint32_t unit_weight_ = 0;
+  bool unit_open_ = false;
+  // 0 for a shard an in-place update retired; live_shards_ counts the rest.
+  std::vector<uint8_t> shard_live_;
+  uint32_t live_shards_ = 1;
 
   // -- Range split (intra-shard parallel tap passes) ----------------------------
   // Geometry is rebuilt with the plan; batches only read it. A "split slot"
@@ -376,13 +462,27 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<ShardStats> stats_;
   Reserve* battery_cache_ = nullptr;
   uint64_t plan_epoch_ = 0;
+  // What the plan was built from, for the in-place update's checks: the
+  // kernel's access and topology epochs, the largest reserve and tap ids
+  // (everything past them is new), the split config and the record mask.
+  uint64_t plan_access_epoch_ = 0;
+  uint64_t plan_topology_epoch_ = 0;
+  ObjectId plan_reserve_horizon_ = kInvalidObjectId;
+  ObjectId plan_tap_horizon_ = kInvalidObjectId;
+  SplitConfig plan_split_;
+  uint32_t plan_record_mask_ = 0;
+  bool plan_headroom_ = false;  // The plan reserved headroom.
+  // False forces the next UpdatePlan to rebuild in full.
   bool plan_valid_ = false;
+  // Reserve and tap deletions since the plan was built, in kernel order.
+  std::vector<ObjectHandle> pending_deletes_;
 
   // -- Telemetry ----------------------------------------------------------------
   // Mask bits are cached once per batch on the main thread before any
   // dispatch; workers read them past the executor's happens-before edge, so
   // plain bools are race-free.
   TraceDomain* telem_ = nullptr;
+  uint32_t ring_budget_ = 0;  // Per-batch records the rings were grown for.
   bool telem_on_ = false;
   bool telem_shard_batch_ = false;
   bool telem_shard_timing_ = false;
@@ -400,12 +500,26 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   double decay_frac_ = 0.0;
   bool decay_to_root_ = false;
 
-  // Rebuild-only scratch (kept to reuse capacity across rebuilds).
+  // Plan-build scratch (kept to reuse capacity across builds): the resolved
+  // taps, each one's shard, and the entries counting-sorted shard-major
+  // (tap-id order within a shard); the same for the kernel's reserves
+  // (`resv_first_` is the first index an update lays out); the shards an
+  // update retired, changed, and the strays it re-homes.
   std::vector<ResolvedTap> resolved_;
-  std::vector<ResolvedTap> sorted_resolved_;
   std::vector<uint32_t> entry_shard_;
+  std::vector<uint32_t> entry_order_;
   std::vector<uint32_t> reserve_shard_;
   std::vector<uint8_t> reserve_stray_;
+  std::vector<uint32_t> resv_order_;
+  std::vector<uint32_t> entry_begin_;
+  std::vector<uint32_t> resv_begin_;
+  uint32_t resv_first_ = 0;
+  std::vector<uint32_t> retired_;
+  std::vector<uint32_t> changed_shards_;
+  std::vector<Reserve*> strays_;
+  // FillShard scratch: the demand group of each of the shard's reserve
+  // slots (kNoBankSlot: none yet).
+  std::vector<uint32_t> group_of_src_;
 
   Quantity total_tap_flow_ = 0;
   Quantity total_decay_flow_ = 0;

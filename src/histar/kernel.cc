@@ -18,7 +18,7 @@ Kernel::Kernel() {
 Kernel::~Kernel() = default;
 
 void Kernel::InsertObject(ObjectId id, std::unique_ptr<KernelObject> obj) {
-  obj->AttachMutationEpoch(&mutation_epoch_);
+  obj->AttachEpochs(&epochs_);
   // Only reserves and taps shape the connectivity graph (tap endpoints are
   // immutable ids); thread/container churn must not invalidate partitions.
   if (obj->type() == ObjectType::kReserve || obj->type() == ObjectType::kTap) {
@@ -52,7 +52,7 @@ void Kernel::InsertObject(ObjectId id, std::unique_ptr<KernelObject> obj) {
   }
   id_pages_[page]->slot[id & (kIdPageSize - 1)] = slot;
   ++id_pages_[page]->live;
-  ++mutation_epoch_;
+  ++epochs_.mutation;
 }
 
 void Kernel::EraseObject(ObjectId id) {
@@ -79,7 +79,7 @@ void Kernel::EraseObject(ObjectId id) {
   if (--id_pages_[page]->live == 0 && page != (next_id_ >> kIdPageBits)) {
     id_pages_[page].reset();
   }
-  ++mutation_epoch_;
+  ++epochs_.mutation;
 }
 
 Status Kernel::Delete(ObjectId id) {
@@ -94,20 +94,20 @@ Status Kernel::Delete(ObjectId id) {
   if (Container* parent = LookupTyped<Container>(obj->parent()); parent != nullptr) {
     parent->RemoveChild(id);
   }
-  std::vector<std::pair<ObjectId, ObjectType>> deleted;
+  std::vector<DeletedObject> deleted;
   DeleteRecursive(id, &deleted);
   // Notify observers only after the whole subtree is gone so they never see a
   // half-deleted hierarchy.
-  for (const auto& [did, dtype] : deleted) {
+  for (const DeletedObject& d : deleted) {
     for (KernelObserver* obs : observers_) {
-      obs->OnObjectDeleted(did, dtype);
+      obs->OnObjectDeleted(d.id, d.type, d.handle);
     }
   }
   total_deleted_ += static_cast<int64_t>(deleted.size());
   return Status::kOk;
 }
 
-void Kernel::DeleteRecursive(ObjectId id, std::vector<std::pair<ObjectId, ObjectType>>* deleted) {
+void Kernel::DeleteRecursive(ObjectId id, std::vector<DeletedObject>* deleted) {
   KernelObject* obj = Lookup(id);
   if (obj == nullptr) {
     return;
@@ -119,7 +119,8 @@ void Kernel::DeleteRecursive(ObjectId id, std::vector<std::pair<ObjectId, Object
       DeleteRecursive(c, deleted);
     }
   }
-  deleted->emplace_back(id, obj->type());
+  const uint32_t slot = SlotOf(id);
+  deleted->push_back({id, obj->type(), ObjectHandle{slot, slot_generation_[slot]}});
   EraseObject(id);
 }
 
@@ -150,7 +151,7 @@ Status Kernel::Move(ObjectId id, ObjectId new_parent) {
   obj->set_parent(new_parent);
   // No topology bump: reparenting moves an object in the container tree but
   // tap endpoints are ids, so reserve/tap connectivity is unchanged.
-  ++mutation_epoch_;
+  ++epochs_.mutation;
   return Status::kOk;
 }
 

@@ -28,10 +28,13 @@ class TraceDomain;
 
 // Observers learn about object deletion so that side tables (the tap engine's
 // flow list, the scheduler's run queue) can drop dangling references.
+// `handle` is the object's slab slot and generation as it was just before
+// the delete (already stale when the observer runs), so slot-indexed tables
+// can find their entry in O(1).
 class KernelObserver {
  public:
   virtual ~KernelObserver() = default;
-  virtual void OnObjectDeleted(ObjectId id, ObjectType type) = 0;
+  virtual void OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handle) = 0;
 };
 
 class Kernel {
@@ -131,6 +134,9 @@ class Kernel {
   ObjectId root_container_id() const { return root_id_; }
   Container* root_container() { return LookupTyped<Container>(root_id_); }
   size_t object_count() const { return slots_.size() - free_slots_.size(); }
+  // Slab slots ever allocated, live or free: every ObjectHandle::slot is
+  // below this, so side tables indexed by slot size themselves from it.
+  uint32_t slot_capacity() const { return static_cast<uint32_t>(slots_.size()); }
 
   // All live object ids of a given type, in id order (deterministic). The
   // index is maintained on create/delete, so this is allocation-free — but
@@ -144,13 +150,22 @@ class Kernel {
   // Bumped on every object create/delete/move and on label or embedded
   // credential changes. Caches that resolve ids to pointers (flow plans,
   // run queues) are valid exactly while the epoch is unchanged.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
-  // Invalidates every mutation-epoch-keyed cache without mutating any
-  // object. Cache owners whose rebuild hands shared object state between
-  // caches call this — a TapEngine re-attaching reserves/taps to its state
-  // bank strands any sibling engine's snapshot, so siblings must re-resolve
-  // rather than trust a stale plan.
-  void InvalidateCaches() { ++mutation_epoch_; }
+  uint64_t mutation_epoch() const { return epochs_.mutation; }
+  // Bumped only on label or embedded-credential changes and by
+  // InvalidateCaches(): the mutations that can change which existing taps
+  // may flow, or whose state another cache holds. A cache that knows how to
+  // absorb creates and deletes (the tap engine's incremental plan update)
+  // must start over when this moves.
+  uint64_t access_epoch() const { return epochs_.access; }
+  // Invalidates every epoch-keyed cache without mutating any object. Cache
+  // owners whose rebuild hands shared object state between caches call
+  // this — a TapEngine re-attaching reserves/taps to its state bank strands
+  // any sibling engine's snapshot, so siblings must re-resolve rather than
+  // trust a stale plan.
+  void InvalidateCaches() {
+    ++epochs_.mutation;
+    ++epochs_.access;
+  }
 
   // Bumped only on reserve/tap create/delete — the sole mutations that can
   // change the reserve/tap connectivity graph (tap endpoints are immutable
@@ -225,6 +240,9 @@ class Kernel {
 
   // Statistics.
   int64_t total_created() const { return next_id_ - 2; }
+  // The id the next Create will assign: every id below it has been used (ids
+  // are never reused), so only ids at or past it can still become live.
+  ObjectId next_object_id() const { return next_id_; }
   int64_t total_deleted() const { return total_deleted_; }
   // Bytes held by the id->slot map (live pages + page table). Bounded by the
   // live-id span, not by ids-ever-created: the churn regression test pins this.
@@ -264,9 +282,15 @@ class Kernel {
     return id_pages_[page]->slot[id & (kIdPageSize - 1)];
   }
 
+  struct DeletedObject {
+    ObjectId id;
+    ObjectType type;
+    ObjectHandle handle;
+  };
+
   void InsertObject(ObjectId id, std::unique_ptr<KernelObject> obj);
   void EraseObject(ObjectId id);
-  void DeleteRecursive(ObjectId id, std::vector<std::pair<ObjectId, ObjectType>>* deleted);
+  void DeleteRecursive(ObjectId id, std::vector<DeletedObject>* deleted);
 
   // Slab-style object table: dense slot array + free list (with per-slot
   // generation tags for ObjectHandle), plus the paged id->slot map (ids are
@@ -279,7 +303,7 @@ class Kernel {
   // Per-type live-object indices, id-ordered (append-only on create since ids
   // are monotonic; binary-search erase on delete).
   std::array<std::vector<ObjectId>, kNumTypes> by_type_;
-  uint64_t mutation_epoch_ = 0;
+  ObjectEpochs epochs_;
   uint64_t topology_epoch_ = 0;
   uint64_t sched_epoch_ = 0;
   uint64_t reserve_op_epoch_ = 0;

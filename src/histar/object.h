@@ -34,6 +34,14 @@ struct ObjectHandle {
   }
 };
 
+// The kernel's cache-invalidation counters (Kernel::mutation_epoch and
+// Kernel::access_epoch), kept side by side so an object carries one pointer
+// to both.
+struct ObjectEpochs {
+  uint64_t mutation = 0;
+  uint64_t access = 0;
+};
+
 enum class ObjectType : uint8_t {
   kContainer,
   kSegment,
@@ -61,7 +69,7 @@ class KernelObject {
   const Label& label() const { return label_; }
   void set_label(Label l) {
     label_ = std::move(l);
-    BumpMutationEpoch();
+    BumpAccessEpoch();
   }
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
@@ -69,16 +77,19 @@ class KernelObject {
   ObjectId parent() const { return parent_; }
   void set_parent(ObjectId p) { parent_ = p; }
 
-  // Kernel wiring: registered objects share the kernel's mutation epoch so
+  // Kernel wiring: registered objects share the kernel's epochs so
   // security-relevant mutations (label changes, embedded-credential changes)
-  // invalidate caches keyed on it (the tap engine's flow plan, the
+  // invalidate caches keyed on them (the tap engine's flow plan, the
   // scheduler's resolved run queue). Null for objects built outside a kernel.
-  void AttachMutationEpoch(uint64_t* epoch) { mutation_epoch_ = epoch; }
+  void AttachEpochs(ObjectEpochs* epochs) { epochs_ = epochs; }
 
  protected:
-  void BumpMutationEpoch() {
-    if (mutation_epoch_ != nullptr) {
-      ++*mutation_epoch_;
+  // A change to who may use the object: bumps the mutation epoch and the
+  // access epoch, which only such changes move.
+  void BumpAccessEpoch() {
+    if (epochs_ != nullptr) {
+      ++epochs_->mutation;
+      ++epochs_->access;
     }
   }
 
@@ -88,7 +99,7 @@ class KernelObject {
   Label label_;
   std::string name_;
   ObjectId parent_ = kInvalidObjectId;
-  uint64_t* mutation_epoch_ = nullptr;
+  ObjectEpochs* epochs_ = nullptr;
 };
 
 }  // namespace cinder

@@ -34,8 +34,10 @@ enum class RecordKind : uint8_t {
   // total_tap_flow()/total_decay_flow() bit-for-bit.
   kShardBatch = 1,
   // Per work unit per batch (a run of consecutive shards one thread runs
-  // back to back): actor = the unit's first shard, v1 = shards covered,
-  // v0 = wall nanoseconds the unit took, aux = worker slot that ran it.
+  // back to back): actor = the unit's first shard, v1 = live shards it ran
+  // (shards an in-place plan update retired run nothing and do not count;
+  // a unit with none writes no record), v0 = wall nanoseconds the unit
+  // took, aux = worker slot that ran it.
   // A range-split shard writes kRangeTiming instead. Files written before
   // units carry one record per shard with v1 = 0; ShardsTimed reads that
   // as 1.

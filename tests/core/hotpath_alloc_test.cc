@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/core/scheduler.h"
 #include "src/core/tap_engine.h"
@@ -361,6 +362,69 @@ TEST(HotPathAllocTest, TelemetryMultiUnitFleetIsAllocationFreeAfterRingGrowth) {
   EXPECT_EQ(domain.ring_dropped(), 0u);
   EXPECT_GT(engine.total_tap_flow(), 0);
   EXPECT_GT(engine.total_decay_flow(), 0);
+}
+
+TEST(HotPathAllocTest, BatchesAfterAnInPlaceUpdateAreAllocationFree) {
+  // A 400-phone fleet, telemetry on, churned: the first churn rebuilds in
+  // full and reserves headroom; the next swaps phones in place. The update
+  // allocates (new decay lists, table growth), but the batches after it
+  // allocate nothing — with a retired shard and an appended one in the plan.
+  for (int workers : {0, 4}) {
+    Kernel k;
+    Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
+    battery->set_decay_exempt(true);
+    ShardExecutor exec(workers > 0 ? workers : 1);
+    TapEngine engine(&k, battery->id());
+    engine.EnableSharding(workers > 0 ? &exec : nullptr);
+    engine.decay().enabled = true;
+    engine.decay().to_shard_root = true;
+    TelemetryConfig cfg;
+    cfg.enabled = true;
+    TraceDomain domain(cfg);
+    engine.set_telemetry(&domain);
+    exec.set_telemetry(&domain);
+    std::vector<ObjectId> phones;
+    auto add_phone = [&](int p) {
+      Container* home = k.Create<Container>(k.root_container_id(), Label(Level::k1), "phone");
+      Reserve* pool = k.Create<Reserve>(home->id(), Label(Level::k1), "pool");
+      pool->Deposit(ToQuantity(Energy::Joules(100.0 + p)));
+      Reserve* fg = k.Create<Reserve>(home->id(), Label(Level::k1), "fg");
+      Reserve* bg = k.Create<Reserve>(home->id(), Label(Level::k1), "bg");
+      Tap* feed_fg = k.Create<Tap>(home->id(), Label(Level::k1), "feed_fg", pool->id(), fg->id());
+      feed_fg->SetConstantPower(Power::Milliwatts(150 + p % 5 * 50));
+      ASSERT_TRUE(engine.Register(feed_fg->id()));
+      Tap* feed_bg = k.Create<Tap>(home->id(), Label(Level::k1), "feed_bg", pool->id(), bg->id());
+      feed_bg->SetProportionalRate(0.002);
+      ASSERT_TRUE(engine.Register(feed_bg->id()));
+      Tap* back = k.Create<Tap>(home->id(), Label(Level::k1), "back", fg->id(), pool->id());
+      back->SetProportionalRate(0.1);
+      ASSERT_TRUE(engine.Register(back->id()));
+      phones.push_back(home->id());
+    };
+    for (int p = 0; p < 400; ++p) {
+      add_phone(p);
+    }
+    engine.RunBatch(Duration::Millis(10));
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_EQ(k.Delete(phones[17 + round]), Status::kOk);
+      add_phone(1000 + round);
+      for (int i = 0; i < 10; ++i) {
+        engine.RunBatch(Duration::Millis(10));
+      }
+    }
+    ASSERT_EQ(engine.full_rebuilds(), 2u) << "workers=" << workers;
+    ASSERT_EQ(engine.plan_updates(), 1u) << "workers=" << workers;
+    // Phone 18 is shard 17 after the compaction dropped phone 17.
+    ASSERT_FALSE(engine.shard_live(17));
+    ASSERT_TRUE(engine.shard_live(engine.shard_count() - 1));
+    const unsigned long long before = g_allocations.load();
+    for (int i = 0; i < 500; ++i) {
+      engine.RunBatch(Duration::Millis(10));
+    }
+    EXPECT_EQ(g_allocations.load(), before) << "workers=" << workers;
+    EXPECT_EQ(domain.ring_dropped(), 0u) << "workers=" << workers;
+    EXPECT_GT(engine.total_tap_flow(), 0);
+  }
 }
 
 TEST(HotPathAllocTest, SchedulerRefreshOnSteadyChurnIsAllocationFree) {

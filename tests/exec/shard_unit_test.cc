@@ -235,8 +235,16 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
     Churn(rig, 0);
     rig.RunBatches(150);
     EXPECT_NE(rig.UnitStarts(), before) << label << ": churn must move unit boundaries";
+    // Both rounds rebuild in full: the first because the plan has no
+    // headroom yet, the second because its departing phones include hoard
+    // owners, and a deleted stray sits in whichever shard hosts it
+    // (ShardReplanProperty covers the in-place path against full rebuilds).
+    const uint64_t full_rebuilds = rig.engine->full_rebuilds();
+    const uint64_t updates = rig.engine->plan_updates();
     Churn(rig, 1);
     rig.RunBatches(150);
+    EXPECT_EQ(rig.engine->full_rebuilds(), full_rebuilds + 1) << label;
+    EXPECT_EQ(rig.engine->plan_updates(), updates) << label;
     ExpectIdenticalState(reference, rig, label);
   }
 }

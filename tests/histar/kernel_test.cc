@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/reserve.h"
+#include "src/core/tap.h"
 
 namespace cinder {
 namespace {
@@ -96,10 +97,18 @@ TEST_F(KernelTest, ObjectsOfTypeSortedById) {
 
 class RecordingObserver : public KernelObserver {
  public:
-  void OnObjectDeleted(ObjectId id, ObjectType type) override {
+  void OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle /*handle*/) override {
     deleted.emplace_back(id, type);
   }
   std::vector<std::pair<ObjectId, ObjectType>> deleted;
+};
+
+class RecordingHandleObserver : public KernelObserver {
+ public:
+  void OnObjectDeleted(ObjectId /*id*/, ObjectType /*type*/, ObjectHandle handle) override {
+    handles.push_back(handle);
+  }
+  std::vector<ObjectHandle> handles;
 };
 
 TEST_F(KernelTest, ObserverSeesCascadedDeletes) {
@@ -115,6 +124,36 @@ TEST_F(KernelTest, ObserverSeesCascadedDeletes) {
   EXPECT_EQ(obs.deleted[0].first, tid);
   EXPECT_EQ(obs.deleted[1].first, aid);
   k_.RemoveObserver(&obs);
+}
+
+TEST_F(KernelTest, ObserverGetsTheDeletedObjectsSlotHandle) {
+  RecordingHandleObserver obs;
+  k_.AddObserver(&obs);
+  Thread* t = k_.Create<Thread>(k_.root_container_id(), Label(Level::k1), "t");
+  const ObjectHandle live = k_.HandleOf(t->id());
+  ASSERT_EQ(k_.Delete(t->id()), Status::kOk);
+  ASSERT_EQ(obs.handles.size(), 1u);
+  // The handle as it was: same slot and generation, stale now.
+  EXPECT_EQ(obs.handles[0], live);
+  EXPECT_EQ(k_.Lookup(obs.handles[0]), nullptr);
+  k_.RemoveObserver(&obs);
+}
+
+TEST_F(KernelTest, AccessEpochMovesOnlyOnLabelCredentialAndInvalidate) {
+  const uint64_t start = k_.access_epoch();
+  Reserve* r = k_.Create<Reserve>(k_.root_container_id(), Label(Level::k1), "r");
+  Thread* t = k_.Create<Thread>(k_.root_container_id(), Label(Level::k1), "t");
+  ASSERT_EQ(k_.Delete(t->id()), Status::kOk);
+  EXPECT_EQ(k_.access_epoch(), start);  // Creates and deletes: no.
+  const uint64_t mutation = k_.mutation_epoch();
+  r->set_label(Label(Level::k1));
+  EXPECT_EQ(k_.access_epoch(), start + 1);
+  EXPECT_EQ(k_.mutation_epoch(), mutation + 1);
+  Tap* tap = k_.Create<Tap>(k_.root_container_id(), Label(Level::k1), "tap", r->id(), r->id());
+  tap->EmbedCredentials(Label(Level::k1), CategorySet());
+  EXPECT_EQ(k_.access_epoch(), start + 2);
+  k_.InvalidateCaches();
+  EXPECT_EQ(k_.access_epoch(), start + 3);
 }
 
 TEST_F(KernelTest, LabelChecksOnThreads) {
