@@ -29,6 +29,26 @@ constexpr uint32_t kSlotAlign = 64;
 
 uint32_t PadTo(uint32_t v, uint32_t align) { return (v + align - 1) / align * align; }
 
+// Credits `amount` to reserve bank slot `d` (level and deposited). True when
+// the deposit flipped a decay-wired slot that is off its shard's decay
+// skip-list from empty to non-empty: the slot is now flagged as listed, and
+// the caller queues it (the re-add the Reserve::Deposit listener hook makes
+// on the same flip).
+inline bool CreditSlot(Quantity* lvl, Quantity* dep, uint8_t* rflags, uint32_t d,
+                       Quantity amount) {
+  const Quantity dst_level = lvl[d];
+  lvl[d] = dst_level + amount;
+  dep[d] += amount;
+  if (dst_level <= 0 && lvl[d] > 0) {
+    const uint8_t df = rflags[d];
+    if ((df & ReserveStateBank::kDecayWired) != 0 && (df & ReserveStateBank::kInDecayList) == 0) {
+      rflags[d] = df | ReserveStateBank::kInDecayList;
+      return true;
+    }
+  }
+  return false;
+}
+
 // Room for `n` elements in a table whose contents are about to be rebuilt:
 // a block too small is freed before the bigger one is taken.
 template <typename V>
@@ -216,30 +236,18 @@ void TapEngine::RebuildPlan() {
   ReserveFresh(resolved_, taps_.size());
   ReserveFresh(entry_shard_, taps_.size());
   for (ObjectId id : taps_) {
-    Tap* tap = kernel_->LookupTyped<Tap>(id);
-    if (tap == nullptr) {
-      continue;
-    }
-    Reserve* src = kernel_->LookupTyped<Reserve>(tap->source());
-    Reserve* dst = kernel_->LookupTyped<Reserve>(tap->sink());
-    if (src == nullptr || dst == nullptr) {
-      continue;  // Endpoint deleted; tap is inert until deleted itself.
-    }
-    // The tap acts with its embedded credentials: it must be able to use
-    // (observe + modify) both endpoints. Any label or credential change moves
-    // the kernel's access epoch, so checking once per plan is exact.
-    if (!Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *src) ||
-        !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *dst)) {
+    ResolvedTap e{};
+    if (!ResolveTap(id, &e)) {
       continue;
     }
     uint32_t s = 0;
     if (sharding_) {
-      s = partitioner_->ShardOf(kernel_->HandleOf(tap->source()));
+      s = partitioner_->ShardOf(kernel_->HandleOf(e.tap->source()));
       if (s == ShardLayout::kNoShard) {
         s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
       }
     }
-    resolved_.push_back({tap, src, dst});
+    resolved_.push_back(e);
     entry_shard_.push_back(s);
   }
   BucketOrder(entry_shard_, num_shards_, &entry_begin_, &entry_order_);
@@ -387,19 +395,15 @@ bool TapEngine::TryUpdatePlan() {
   entry_shard_.clear();
   for (auto it = std::upper_bound(taps_.begin(), taps_.end(), plan_tap_horizon_);
        it != taps_.end(); ++it) {
-    Tap* tap = kernel_->LookupTyped<Tap>(*it);
-    Reserve* src = tap != nullptr ? kernel_->LookupTyped<Reserve>(tap->source()) : nullptr;
-    Reserve* dst = tap != nullptr ? kernel_->LookupTyped<Reserve>(tap->sink()) : nullptr;
-    if (src == nullptr || dst == nullptr ||
-        !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *src) ||
-        !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *dst)) {
+    ResolvedTap e{};
+    if (!ResolveTap(*it, &e)) {
       continue;
     }
-    const uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(tap->source()));
+    const uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(e.tap->source()));
     if (s == ShardLayout::kNoShard || s < old_shards) {
       return false;  // Unreachable: the edge is live and new.
     }
-    resolved_.push_back({tap, src, dst});
+    resolved_.push_back(e);
     entry_shard_.push_back(s - old_shards);
   }
   BucketOrder(entry_shard_, added, &entry_begin_, &entry_order_);
@@ -511,6 +515,27 @@ bool TapEngine::TryUpdatePlan() {
   // re-resolve, as after a full rebuild.
   kernel_->InvalidateCaches();
   StampPlan();
+  return true;
+}
+
+bool TapEngine::ResolveTap(ObjectId id, ResolvedTap* out) const {
+  Tap* tap = kernel_->LookupTyped<Tap>(id);
+  if (tap == nullptr) {
+    return false;
+  }
+  Reserve* src = kernel_->LookupTyped<Reserve>(tap->source());
+  Reserve* dst = kernel_->LookupTyped<Reserve>(tap->sink());
+  if (src == nullptr || dst == nullptr) {
+    return false;  // Endpoint deleted; tap is inert until deleted itself.
+  }
+  // The tap acts with its embedded credentials: it must be able to use
+  // (observe + modify) both endpoints. Any label or credential change moves
+  // the kernel's access epoch, so checking once per plan is exact.
+  if (!Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *src) ||
+      !Kernel::CanUseWith(tap->actor_label(), tap->embedded_privileges(), *dst)) {
+    return false;
+  }
+  *out = ResolvedTap{tap, src, dst};
   return true;
 }
 
@@ -1126,35 +1151,23 @@ inline void TapEngine::MergeShard(uint32_t shard, Quantity tap_flow, const Decay
   }
 }
 
-Quantity TapEngine::RunShardTaps(uint32_t shard) {
-  const double dt_s = batch_dt_s_;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  // Everything the two passes touch is a flat array: the dense plan triple
+// The shared pass loops are forced inline: a fleet batch runs them once per
+// shard, for thousands of few-entry shards, so a call frame per shard would
+// cost what the loop bodies do.
+[[gnu::always_inline]] inline void TapEngine::TapPass1(uint32_t begin, uint32_t end, uint32_t tb,
+                                                       double* demand,
+                                                       const uint32_t* demand_slot) {
+  // Everything the tap passes touch is a flat array: the dense plan triple
   // (src slot, dst slot, group), the reserve bank, and the padded per-entry
-  // arrays rebased through `tb` so this shard's slice is cache-line exclusive.
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
+  // arrays rebased through `tb` so each unit's slice is cache-line exclusive.
+  // Pass 1 only reads reserve levels (frozen until pass 2) and tap state.
+  const double dt_s = batch_dt_s_;
+  const Quantity* const lvl = rbank_.levels();
+  const double* const tcarry = tbank_.carries();
   const QuantityRate* const trate = tbank_.rates();
   const double* const tfrac = tbank_.fractions();
   const uint8_t* const tflags = tbank_.flags();
   const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  // Two passes. Pass 1 computes each tap's demand for this batch; pass 2
-  // executes transfers in id (creation) order, giving taps that contend for
-  // the same constrained source a proportional share of whatever is
-  // available when they flow (e.g. two applications drawing from the shared
-  // 14 mW background reserve of Figure 7 each receive ~7 mW instead of the
-  // oldest tap winning every batch). Deposits made by earlier taps in the
-  // same batch are visible to later ones, so feed taps created before their
-  // consumers pipeline within a single batch. Fully deterministic.
-  std::fill(group_base_ + shard_group_begin_[shard],
-            group_base_ + shard_group_begin_[shard + 1], 0.0);
   for (uint32_t i = begin; i < end; ++i) {
     const uint32_t ti = tb + i;
     const uint8_t f = tflags[ti];
@@ -1170,11 +1183,23 @@ Quantity TapEngine::RunShardTaps(uint32_t shard) {
       want += static_cast<double>(trate[ti]) * dt_s;
     }
     want_base_[ti] = want;
-    group_base_[group_of[i]] += want;
+    demand[demand_slot[i]] += want;
   }
+}
+
+[[gnu::always_inline]] inline Quantity TapEngine::OrderedPass2(uint32_t shard, uint32_t begin,
+                                                               uint32_t end, uint32_t tb) {
+  Quantity* const lvl = rbank_.levels();
+  Quantity* const dep = rbank_.deposited();
+  uint8_t* const rflags = rbank_.flags();
+  double* const tcarry = tbank_.carries();
+  Quantity* const ttrans = tbank_.transferred();
+  const uint32_t* const src_slot = plan_src_.data();
+  const uint32_t* const dst_slot = plan_dst_.data();
+  const uint32_t* const group_of = plan_group_.data();
   TraceRing* const tap_trace =
       telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  Quantity shard_flow = 0;
+  Quantity flow = 0;
   for (uint32_t i = begin; i < end; ++i) {
     const uint32_t ti = tb + i;
     const double want = want_base_[ti];
@@ -1199,28 +1224,36 @@ Quantity TapEngine::RunShardTaps(uint32_t shard) {
       continue;
     }
     lvl[src_slot[i]] = src_level - moved;
-    // Deposit into the sink, including the skip-list re-add the
-    // Reserve::Deposit listener hook fires on an empty -> non-empty flip.
     const uint32_t d = dst_slot[i];
-    const Quantity dst_level = lvl[d];
-    lvl[d] = dst_level + moved;
-    dep[d] += moved;
-    if (dst_level <= 0 && lvl[d] > 0) {
-      const uint8_t df = rflags[d];
-      if ((df & ReserveStateBank::kDecayWired) != 0 &&
-          (df & ReserveStateBank::kInDecayList) == 0) {
-        rflags[d] = df | ReserveStateBank::kInDecayList;
-        decay_active_[shard].push_back(d);
-      }
+    if (CreditSlot(lvl, dep, rflags, d, moved)) {
+      decay_active_[shard].push_back(d);
     }
     ttrans[ti] += moved;
-    shard_flow += moved;
+    flow += moved;
     if (tap_trace != nullptr) {
       tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
                       static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
     }
   }
-  return shard_flow;
+  return flow;
+}
+
+Quantity TapEngine::RunShardTaps(uint32_t shard) {
+  // Two passes. Pass 1 computes each tap's demand for this batch; pass 2
+  // executes transfers in id (creation) order, giving taps that contend for
+  // the same constrained source a proportional share of whatever is
+  // available when they flow (e.g. two applications drawing from the shared
+  // 14 mW background reserve of Figure 7 each receive ~7 mW instead of the
+  // oldest tap winning every batch). Deposits made by earlier taps in the
+  // same batch are visible to later ones, so feed taps created before their
+  // consumers pipeline within a single batch. Fully deterministic.
+  const uint32_t begin = shard_plan_begin_[shard];
+  const uint32_t end = shard_plan_begin_[shard + 1];
+  const uint32_t tb = shard_want_begin_[shard] - begin;
+  std::fill(group_base_ + shard_group_begin_[shard],
+            group_base_ + shard_group_begin_[shard + 1], 0.0);
+  TapPass1(begin, end, tb, group_base_, plan_group_.data());
+  return OrderedPass2(shard, begin, end, tb);
 }
 
 void TapEngine::RunTicket(const ShardTicket& t) {
@@ -1237,52 +1270,29 @@ void TapEngine::RunTicket(const ShardTicket& t) {
   }
 }
 
+void TapEngine::EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0) {
+  const uint32_t slot = ShardExecutor::current_worker_slot();
+  if (TraceRing* ring = telem_->ring(slot)) {
+    ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
+               static_cast<uint16_t>(slot << 8 | (range & 0xff)), pass, NowNs() - t0, 0);
+  }
+}
+
 void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
-  // Pass 1 of RunShardTaps over one contiguous plan-entry range, demand
-  // accumulated into the range's private lane slice instead of the shard's
-  // group_base_. Reads reserve levels (frozen until pass 2) and tap state,
-  // writes only this range's slice of want_/lanes — any interleaving with
-  // other tickets is race-free.
+  // Pass 1 over one contiguous plan-entry range, demand accumulated into the
+  // range's private lane slice instead of the shard's groups. It writes only
+  // this range's slice of want_/lanes, so any interleaving with other tickets
+  // is race-free.
   const int64_t t0 = telem_range_timing_ ? NowNs() : 0;
   const uint32_t shard = split_shards_[split];
   const uint32_t rr = split * split_k_ + range;
   const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
-  const uint32_t begin = bounds[range];
-  const uint32_t end = bounds[range + 1];
-  const double dt_s = batch_dt_s_;
-  const Quantity* const lvl = rbank_.levels();
-  const double* const tcarry = tbank_.carries();
-  const QuantityRate* const trate = tbank_.rates();
-  const double* const tfrac = tbank_.fractions();
-  const uint8_t* const tflags = tbank_.flags();
-  const uint32_t* const src_slot = plan_src_.data();
   double* const lane = lanes_.demand() + lane_base_[rr];
-  const uint32_t lane_cnt = range_group_begin_[rr + 1] - range_group_begin_[rr];
-  std::fill(lane, lane + lane_cnt, 0.0);
-  const uint32_t tb = shard_want_begin_[shard] - shard_plan_begin_[shard];
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const uint8_t f = tflags[ti];
-    if ((f & TapStateBank::kEnabled) == 0) {
-      want_base_[ti] = -1.0;  // Wants are never negative, so -1 is a safe skip mark.
-      continue;
-    }
-    double want = tcarry[ti];
-    if ((f & TapStateBank::kProportional) != 0) {
-      const Quantity level = lvl[src_slot[i]] > 0 ? lvl[src_slot[i]] : 0;
-      want += static_cast<double>(level) * tfrac[ti] * dt_s;
-    } else {
-      want += static_cast<double>(trate[ti]) * dt_s;
-    }
-    want_base_[ti] = want;
-    lane[entry_lane_[i]] += want;
-  }
+  std::fill(lane, lane + (range_group_begin_[rr + 1] - range_group_begin_[rr]), 0.0);
+  TapPass1(bounds[range], bounds[range + 1], shard_want_begin_[shard] - shard_plan_begin_[shard],
+           lane, entry_lane_.data());
   if (telem_range_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
-                 static_cast<uint16_t>(slot << 8 | (range & 0xff)), 1, NowNs() - t0, 0);
-    }
+    EmitRangeTiming(shard, range, 1, t0);
   }
 }
 
@@ -1361,6 +1371,9 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
     if (want < 0.0 || group_fast_[group_of[i]] == 0) {
       continue;  // Disabled, or constrained: the ordered finalize runs it.
     }
+    // Run here: the skip mark keeps the finalize's ordered pass off it. Only
+    // this range writes the entry's slot.
+    want_base_[ti] = -1.0;
     const auto whole = static_cast<Quantity>(want);
     tcarry[ti] = want - static_cast<double>(whole);
     if (whole <= 0) {
@@ -1372,22 +1385,11 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
       const uint32_t di = begin + rs.n_deferred++;
       deferred_slot_[di] = d;
       deferred_amt_[di] = whole;
-    } else {
+    } else if (CreditSlot(lvl, dep, rflags, d, whole)) {
       // This range is the slot's only writer this phase (its flag byte
-      // included), so the deposit and the empty -> non-empty decay re-add
-      // check mirror RunShardTaps' directly; the re-add itself is deferred
-      // because the shard's skip-list is shared across ranges.
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + whole;
-      dep[d] += whole;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          pending_slot_[begin + rs.n_pending++] = d;
-        }
-      }
+      // included), so it credits the slot directly; the decay re-add itself
+      // is deferred because the shard's skip-list is shared across ranges.
+      pending_slot_[begin + rs.n_pending++] = d;
     }
     ttrans[ti] += whole;
     rs.tap_flow += whole;
@@ -1397,17 +1399,12 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
     }
   }
   if (telem_range_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
-                 static_cast<uint16_t>(slot << 8 | (range & 0xff)), 2, NowNs() - t0, 0);
-    }
+    EmitRangeTiming(shard, range, 2, t0);
   }
 }
 
 void TapEngine::FinalizeSplitShard(uint32_t split) {
   const uint32_t shard = split_shards_[split];
-  scratch_[shard] = ShardScratch{};
   Quantity* const lvl = rbank_.levels();
   Quantity* const dep = rbank_.deposited();
   uint8_t* const rflags = rbank_.flags();
@@ -1426,17 +1423,8 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
     const uint32_t base = bounds[r];
     for (uint32_t j = 0; j < rs.n_deferred; ++j) {
       const uint32_t d = deferred_slot_[base + j];
-      const Quantity m = deferred_amt_[base + j];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + m;
-      dep[d] += m;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          active.push_back(d);
-        }
+      if (CreditSlot(lvl, dep, rflags, d, deferred_amt_[base + j])) {
+        active.push_back(d);
       }
     }
     for (uint32_t j = 0; j < rs.n_pending; ++j) {
@@ -1455,79 +1443,23 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
       }
     }
   }
-  // The constrained tail, in plan (tap-id) order with RunShardTaps' exact pass-2
-  // body — running demand decrement, proportional scale, source clamp —
-  // against the range-order-reduced group totals. Skipped entirely when the
-  // classification found every group unconstrained (the common giant-fan-out
-  // case), keeping the serial section O(ranges + groups).
+  // The constrained tail: the whole-shard ordered pass 2 (running demand
+  // decrement, proportional scale, source clamp) against the range-order-
+  // reduced group totals. Pass-2 ranges marked every entry they ran, so it
+  // runs exactly the constrained entries, in plan (tap-id) order. Skipped
+  // entirely when the classification found every group unconstrained (the
+  // common giant-fan-out case), keeping the serial section
+  // O(ranges + groups).
   if (split_slow_entries_[split] > 0) {
-    const uint32_t begin = bounds[0];
-    const uint32_t end = bounds[split_k_];
-    TraceRing* const tap_trace =
-        telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-    double* const tcarry = tbank_.carries();
-    Quantity* const ttrans = tbank_.transferred();
-    const uint32_t* const src_slot = plan_src_.data();
-    const uint32_t* const dst_slot = plan_dst_.data();
-    const uint32_t* const group_of = plan_group_.data();
-    const uint32_t tb = shard_want_begin_[shard] - begin;
-    for (uint32_t i = begin; i < end; ++i) {
-      if (group_fast_[group_of[i]] != 0) {
-        continue;
-      }
-      const uint32_t ti = tb + i;
-      const double want = want_base_[ti];
-      if (want < 0.0) {
-        continue;
-      }
-      double& demand = group_base_[group_of[i]];
-      const Quantity src_level = lvl[src_slot[i]];
-      const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-      const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-      const double granted = want * scale;
-      demand -= want;
-      auto whole = static_cast<Quantity>(granted);
-      tcarry[ti] = granted - static_cast<double>(whole);
-      if (whole <= 0) {
-        continue;
-      }
-      Quantity moved = src_level < whole ? src_level : whole;
-      if (moved <= 0) {
-        continue;
-      }
-      lvl[src_slot[i]] = src_level - moved;
-      const uint32_t d = dst_slot[i];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + moved;
-      dep[d] += moved;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          active.push_back(d);
-        }
-      }
-      ttrans[ti] += moved;
-      flow += moved;
-      if (tap_trace != nullptr) {
-        tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                        static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
-      }
-    }
+    flow += OrderedPass2(shard, bounds[0], bounds[split_k_], shard_want_begin_[shard] - bounds[0]);
   }
   ShardScratch& sc = scratch_[shard];
   sc.tap_flow = flow;
-  if (decay_.enabled) {
-    sc.decay = DecayShard(shard);
-  }
-  // Split shards' per-range work is covered by kRangeTiming; the batch record
-  // itself is written here, on the (serial) finalize thread.
+  sc.decay = decay_.enabled ? DecayShard(shard) : DecayResult{};
+  // The kShardBatch record, written on the (serial) finalize thread; the
+  // shard's per-range work is timed by kRangeTiming, so it counts no run.
   if (telem_shard_batch_) {
-    if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-      ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow,
-                 sc.decay.flow);
-    }
+    EmitUnitRecords(shard, 1, /*ran=*/0, 0);
   }
 }
 

@@ -216,8 +216,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void OnReserveDecayable(Reserve* r) override;
 
  private:
-  // A registered tap resolved for one plan build. Only used during
-  // RebuildPlan: the plan the batch loops walk is the SoA triple
+  // A registered tap resolved for one plan build. Only used while a plan is
+  // built or updated: the plan the batch loops walk is the SoA triple
   // (plan_src_/plan_dst_/plan_group_) plus the tap bank arrays.
   struct ResolvedTap {
     Tap* tap;
@@ -256,6 +256,10 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // RebuildPlan does not redo, when the change is not the churn shape or
   // does not fit the headroom.
   bool TryUpdatePlan();
+  // Resolves registered tap `id` for both plan paths; false when it cannot
+  // flow: deleted, an endpoint deleted, or its embedded credentials cannot
+  // use both endpoints.
+  bool ResolveTap(ObjectId id, ResolvedTap* out) const;
   // The per-shard layout both paths share, in two steps. PlaceShard puts
   // shard `s` (the next index) into the open work unit or a new one —
   // consecutive shards close a unit once it holds kUnitEntries of
@@ -299,24 +303,29 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // passes and decay slice, results banked in each shard's scratch), then
   // its records: one kShardBatch per live shard and one kShardTiming for
   // the unit (timed from `t0`, counting the `ran` live shards; none when
-  // every shard of the unit retired).
+  // `ran` is 0: every shard of the unit retired, or a split shard's
+  // finalize, whose passes kRangeTiming times).
   void RunUnit(uint32_t first, uint32_t count);
   void EmitUnitRecords(uint32_t first, uint32_t count, uint32_t ran, int64_t t0);
   // Folds one shard's batch results into the engine totals and stats and
   // makes its decay-leak deposits (main thread, in shard order).
   void MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay);
-  // The split execution pipeline (see RunBatch): pass-1 ranges accumulate
-  // demand into private lanes; a serial range-order reduction folds lanes
-  // into the canonical per-group totals and classifies each group as
-  // unconstrained (scale == 1 provably) or constrained; pass-2 ranges
-  // execute the unconstrained entries with exclusive-destination writes and
-  // deferred lists; the serial finalize applies every deferred effect in
-  // range order, runs the constrained entries in plan order, and the shard's
-  // decay slice.
+  // The split execution pipeline (see RunBatch): pass-1 ranges run the
+  // shared pass-1 loop into private lanes; a serial range-order reduction
+  // folds lanes into the canonical per-group totals and classifies each
+  // group as unconstrained (scale == 1 provably) or constrained; pass-2
+  // ranges execute the unconstrained entries with exclusive-destination
+  // writes and deferred lists, marking each entry they ran skipped; the
+  // serial finalize applies every deferred effect in range order, runs the
+  // shared ordered pass 2 over the shard (which leaves exactly the
+  // constrained entries), and the shard's decay slice.
   void RunPass1Range(uint32_t split, uint32_t range);
   void ReduceSplitDemand(uint32_t split);
   void RunPass2Range(uint32_t split, uint32_t range);
   void FinalizeSplitShard(uint32_t split);
+  // One kRangeTiming record for pass `pass` (1 or 2) of a split range,
+  // timed from `t0`.
+  void EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0);
   // Copies bank state back into every surviving attached object and detaches
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
@@ -324,6 +333,16 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // The two tap passes of one shard; returns the flow moved. RunUnit and
   // the one-shard inline batch compose it with DecayShard.
   Quantity RunShardTaps(uint32_t shard);
+  // The tap passes' loops, one copy each for whole shards and split ranges.
+  // TapPass1 writes the wants of plan entries [begin, end) (per-entry index
+  // tb + i; -1 marks a skip) and sums each into demand[demand_slot[i]]: a
+  // shard's demand groups, or a split range's private lane. OrderedPass2
+  // runs the transfers of [begin, end) in plan order against group_base_,
+  // skipping entries marked -1, and returns the flow moved: a whole
+  // shard's pass 2, or a split shard's constrained tail.
+  void TapPass1(uint32_t begin, uint32_t end, uint32_t tb, double* demand,
+                const uint32_t* demand_slot);
+  Quantity OrderedPass2(uint32_t shard, uint32_t begin, uint32_t end, uint32_t tb);
   DecayResult DecayShard(uint32_t shard);
   // Telemetry cold paths: the plan-time ring sizing and table dump
   // (spill-direct) — kPlanShard rows for every shard (`all`) or only those

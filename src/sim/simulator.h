@@ -35,8 +35,20 @@
 
 namespace cinder {
 
-// Tap-batch execution knobs, grouped (they configure how batches execute,
-// never what they compute — results are bit-identical for any setting).
+// Tap-batch execution knobs, grouped. Most configure how batches execute,
+// not what they compute; three fields can change result bits:
+// - decay_to_shard_root changes what a batch computes: each shard's leakage
+//   lands in that shard's root reserve instead of the battery.
+// - tap_split_threshold and tap_split_ranges decide which shards split. A
+//   split shard's constrained demand groups re-associate their demand sum
+//   across range boundaries, so they can differ from the whole-shard bits
+//   (docs/PERFORMANCE.md, "The reduction-order contract"); unconstrained
+//   groups match it bit for bit.
+// - They split only in sharded mode, and tap_workers = 0 without
+//   decay_to_shard_root runs unsharded. So a component at the threshold can
+//   get different bits at 0 workers than at 1 or more.
+// Within one sharded setting of those three, the worker count never changes
+// a bit, and sched_plan_quanta never does.
 struct ExecConfig {
   // 0 leaves the engine unsharded (the single-device default); >= 1
   // partitions the reserve/tap graph into independent shards and runs
@@ -53,8 +65,8 @@ struct ExecConfig {
   // reaches the threshold have their tap batch split into `tap_split_ranges`
   // contiguous ranges that run as independent worker tickets, with a
   // fixed-order reduction so flows stay bit-identical at any worker count.
-  // Threshold 0 (or ranges < 2) disables splitting. Only meaningful with
-  // tap_workers >= 1.
+  // Threshold 0 (or ranges < 2) disables splitting. Only meaningful in
+  // sharded mode (tap_workers >= 1, or decay_to_shard_root).
   uint32_t tap_split_threshold = 4096;
   uint32_t tap_split_ranges = 8;
   // K-quanta scheduler run plans: Run/RunUntil may precompute the pick

@@ -151,7 +151,7 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       break;
     }
     case RecordKind::kCpuCharge: {
-      TraceReader::ThreadCharge& t = threads_[r.actor];
+      ThreadCharge& t = threads_[r.actor];
       t.thread = r.actor;
       ++t.quanta;
       t.billed += r.v0;
@@ -285,13 +285,13 @@ void LiveAggregator::CloseWindow(uint64_t closing_frame_seq, int64_t mark_time_u
   window_drop_base_ = ring_dropped_;
 }
 
-std::vector<TraceReader::ShardFlow> LiveAggregator::FlowByShard() const {
-  std::vector<TraceReader::ShardFlow> out;
+std::vector<ShardFlow> LiveAggregator::FlowByShard() const {
+  std::vector<ShardFlow> out;
   for (const ShardLive& s : shards_) {
     if (!s.seen) {
       continue;
     }
-    TraceReader::ShardFlow f;
+    ShardFlow f;
     f.shard = s.shard;
     f.taps = s.taps;
     f.decay_reserves = s.decay_reserves;
@@ -304,13 +304,13 @@ std::vector<TraceReader::ShardFlow> LiveAggregator::FlowByShard() const {
   return out;
 }
 
-std::vector<TraceReader::WorkerLoad> LiveAggregator::WorkerLoads() const {
-  std::vector<TraceReader::WorkerLoad> out;
+std::vector<WorkerLoad> LiveAggregator::WorkerLoads() const {
+  std::vector<WorkerLoad> out;
   for (const WorkerLive& w : workers_) {
     if (!w.seen) {
       continue;
     }
-    TraceReader::WorkerLoad l;
+    WorkerLoad l;
     l.worker = w.worker;
     l.dispatches = w.dispatches;
     l.shard_runs = w.shard_runs;
@@ -321,8 +321,8 @@ std::vector<TraceReader::WorkerLoad> LiveAggregator::WorkerLoads() const {
   return out;
 }
 
-std::vector<TraceReader::ThreadCharge> LiveAggregator::CpuChargeByThread() const {
-  std::vector<TraceReader::ThreadCharge> out;
+std::vector<ThreadCharge> LiveAggregator::CpuChargeByThread() const {
+  std::vector<ThreadCharge> out;
   out.reserve(threads_.size());
   for (const auto& [id, t] : threads_) {
     out.push_back(t);

@@ -1,13 +1,14 @@
 // LiveAggregator — fixed-cost online aggregation over a telemetry stream.
 //
 // A TraceSink that folds each frame into windowed state as the run executes:
-// exact running totals (the same flow/load/billing queries TraceReader
-// answers offline — one query vocabulary for live and post-hoc analysis),
-// plus per-shard flow EWMAs, per-reserve level EWMAs, per-worker busy/idle
-// histograms, and scheduler/syscall rates per window. Memory is O(shards +
-// workers + threads + reserves) and per-record work is O(1): run length
-// never grows the aggregator, which is what makes it safe to leave attached
-// to an unbounded fleet run (the streaming half of docs/TELEMETRY.md).
+// exact running totals (the flow/load/billing queries; TraceReader feeds the
+// records it loads through a LiveAggregator too, so this is the one fold
+// behind them), plus per-shard flow EWMAs, per-reserve level EWMAs,
+// per-worker busy/idle histograms, and scheduler/syscall rates per window.
+// Memory is O(shards + workers + threads + reserves) and per-record work is
+// O(1): run length never grows the aggregator, which is what makes it safe
+// to leave attached to an unbounded fleet run (the streaming half of
+// docs/TELEMETRY.md).
 //
 // A *window* is a fixed number of frames (frames_per_window; one frame ==
 // one tap batch in the engine's wiring). When a window closes, the window's
@@ -26,12 +27,37 @@
 #include <map>
 #include <vector>
 
-#include "src/telemetry/trace_reader.h"
 #include "src/telemetry/trace_sink.h"
 
 namespace cinder {
 
 class HealthMonitor;
+
+// The fold's exact query results (LiveAggregator::FlowByShard, WorkerLoads,
+// CpuChargeByThread; TraceReader answers with the same ones).
+struct ShardFlow {
+  uint32_t shard = 0;
+  uint32_t taps = 0;            // From the latest kPlanShard record.
+  uint32_t decay_reserves = 0;  // From the latest kPlanShard record.
+  uint32_t ranges = 1;          // From the latest kPlanShard record.
+  uint64_t batches = 0;         // kShardBatch records seen.
+  int64_t tap_flow = 0;
+  int64_t decay_flow = 0;
+};
+
+struct WorkerLoad {
+  uint32_t worker = 0;      // Slot: 0 = the calling thread.
+  uint64_t dispatches = 0;  // Tickets claimed (kDispatch).
+  uint64_t shard_runs = 0;  // Shard-batches timed (kShardTiming, summed v1).
+  uint64_t range_runs = 0;  // Range passes timed (kRangeTiming).
+  uint64_t busy_ns = 0;     // Summed timed nanoseconds.
+};
+
+struct ThreadCharge {
+  uint32_t thread = 0;  // Low 32 bits of the thread id.
+  uint64_t quanta = 0;  // kCpuCharge records.
+  int64_t billed = 0;   // Summed nJ — equals the meter's per-thread CPU row.
+};
 
 struct LiveAggregatorConfig {
   // Frames folded into one window. With the simulator's 10 ms tap batches,
@@ -95,18 +121,31 @@ class LiveAggregator : public TraceSink {
   void OnAttach(const TraceDomain& domain) override;
   void OnRecord(const TraceRecord& r) override;
 
-  // -- TraceReader query vocabulary (exact running totals) ----------------------
-  // These mirror TraceReader's signatures and struct types so call sites
-  // written against the offline reader run unchanged against the live view;
-  // on the same complete stream the answers are identical (tests pin this).
+  // -- Query vocabulary (exact running totals) -----------------------------------
+  // Integer sums over every record folded, in stream order. TraceReader's
+  // aggregates forward here, so a live run and a file of its records get
+  // their answers from this one fold.
+  //
+  // Sums of the kShardBatch records. With a complete stream (nothing
+  // dropped, every batch flushed) these equal TapEngine::total_tap_flow() /
+  // total_decay_flow() bit-for-bit — the fleet example asserts it.
   int64_t TotalTapFlow() const { return total_tap_flow_; }
   int64_t TotalDecayFlow() const { return total_decay_flow_; }
-  std::vector<TraceReader::ShardFlow> FlowByShard() const;
-  std::vector<TraceReader::WorkerLoad> WorkerLoads() const;
-  std::vector<TraceReader::ThreadCharge> CpuChargeByThread() const;
+  // One entry per shard index seen, ascending.
+  std::vector<ShardFlow> FlowByShard() const;
+  // One entry per worker slot seen, ascending. Unlike the flow queries this
+  // reflects the actual execution interleaving — it varies run to run and
+  // with the worker count (that is the point: it shows the balance).
+  std::vector<WorkerLoad> WorkerLoads() const;
+  // One entry per billed thread, ascending.
+  std::vector<ThreadCharge> CpuChargeByThread() const;
+  // kSchedPick records; idle ones found nothing runnable (actor == 0), and
+  // planned ones were replayed from a K-quanta run plan (kSchedPickPlanned
+  // flag; the plan-hit ratio is SchedPlannedPicks() / SchedPicks()).
   uint64_t SchedPicks() const { return sched_picks_; }
   uint64_t SchedIdlePicks() const { return sched_idle_picks_; }
   uint64_t SchedPlannedPicks() const { return sched_planned_picks_; }
+  // kSchedPlanBuild records.
   uint64_t SchedPlanBuilds() const { return sched_plan_builds_; }
   uint64_t frames() const { return frames_; }
   uint64_t records_seen() const { return records_seen_; }
@@ -122,7 +161,7 @@ class LiveAggregator : public TraceSink {
   struct ShardLive {
     uint32_t shard = 0;
     bool seen = false;
-    // Topology from the latest kPlanShard record (TraceReader parity).
+    // Topology from the latest kPlanShard record.
     uint32_t taps = 0;
     uint32_t decay_reserves = 0;
     uint32_t ranges = 1;
@@ -178,7 +217,7 @@ class LiveAggregator : public TraceSink {
   HealthMonitor* monitor_ = nullptr;
   std::function<void(const WindowStats&)> window_cb_;
 
-  // Exact running totals (the TraceReader-vocabulary side).
+  // Exact running totals (the query-vocabulary side).
   int64_t total_tap_flow_ = 0;
   int64_t total_decay_flow_ = 0;
   uint64_t sched_picks_ = 0;
@@ -191,7 +230,7 @@ class LiveAggregator : public TraceSink {
 
   std::vector<ShardLive> shards_;
   std::vector<WorkerLive> workers_;
-  std::map<uint32_t, TraceReader::ThreadCharge> threads_;
+  std::map<uint32_t, ThreadCharge> threads_;
   std::map<uint32_t, ReserveLive> reserves_;
 
   // Open-window accumulators (the scalar half; per-shard/worker/reserve

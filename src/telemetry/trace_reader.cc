@@ -19,26 +19,16 @@ bool IsKind(const TraceRecord& r, RecordKind k) {
 
 void TraceReader::Index() {
   kind_counts_.assign(kNumKinds, 0);
-  total_tap_flow_ = 0;
-  total_decay_flow_ = 0;
-  frames_ = 0;
-  ring_dropped_ = 0;
+  fold_.Reset();
   for (const TraceRecord& r : records_) {
     if (r.kind < kNumKinds) {
       ++kind_counts_[r.kind];
     }
-    if (IsKind(r, RecordKind::kShardBatch)) {
-      total_tap_flow_ += r.v0;
-      total_decay_flow_ += r.v1;
-    } else if (IsKind(r, RecordKind::kFrameMark)) {
-      ++frames_;
-      // Recover the ring-drop share from the marks' cumulative v1 stamp
-      // (zero in pre-stamp files, which then report all drops as spill).
-      if (static_cast<uint64_t>(r.v1) > ring_dropped_) {
-        ring_dropped_ = static_cast<uint64_t>(r.v1);
-      }
-    }
+    fold_.OnRecord(r);
   }
+  // The marks' cumulative ring-drop stamp (zero in pre-stamp files, which
+  // then report all drops as spill).
+  ring_dropped_ = fold_.ring_dropped();
 }
 
 TraceReader TraceReader::FromDomain(const TraceDomain& domain) {
@@ -114,43 +104,6 @@ bool TraceReader::LoadFile(const std::string& path, TraceReader* out, std::strin
   return true;
 }
 
-std::vector<TraceReader::ShardFlow> TraceReader::FlowByShard() const {
-  std::vector<ShardFlow> by_shard;
-  std::vector<uint8_t> seen;
-  auto at = [&](uint32_t shard) -> ShardFlow& {
-    if (shard >= by_shard.size()) {
-      by_shard.resize(shard + 1);
-      seen.resize(shard + 1, 0);
-      for (uint32_t s = 0; s < by_shard.size(); ++s) {
-        by_shard[s].shard = s;
-      }
-    }
-    seen[shard] = 1;
-    return by_shard[shard];
-  };
-  for (const TraceRecord& r : records_) {
-    if (IsKind(r, RecordKind::kShardBatch)) {
-      ShardFlow& s = at(r.actor);
-      ++s.batches;
-      s.tap_flow += r.v0;
-      s.decay_flow += r.v1;
-    } else if (IsKind(r, RecordKind::kPlanShard)) {
-      ShardFlow& s = at(r.actor);
-      s.taps = static_cast<uint32_t>(r.v0);
-      s.decay_reserves = static_cast<uint32_t>(r.v1);
-      s.ranges = r.aux;
-    }
-  }
-  std::vector<ShardFlow> out;
-  out.reserve(by_shard.size());
-  for (uint32_t s = 0; s < by_shard.size(); ++s) {
-    if (seen[s] != 0) {
-      out.push_back(by_shard[s]);
-    }
-  }
-  return out;
-}
-
 std::vector<TraceReader::TimelinePoint> TraceReader::ShardTimeline(uint32_t shard) const {
   std::vector<TimelinePoint> out;
   // Records precede the frame mark that closes their frame, so batch points
@@ -172,7 +125,7 @@ std::vector<TraceReader::TimelinePoint> TraceReader::ShardTimeline(uint32_t shar
     cum_tap += r.v0;
     cum_decay += r.v1;
     TimelinePoint p;
-    p.frame = frames_;  // Placeholder for an unterminated tail frame.
+    p.frame = frames();  // Placeholder for an unterminated tail frame.
     p.time_us = r.time_us;
     p.tap_flow = r.v0;
     p.decay_flow = r.v1;
@@ -181,90 +134,6 @@ std::vector<TraceReader::TimelinePoint> TraceReader::ShardTimeline(uint32_t shar
     out.push_back(p);
   }
   return out;
-}
-
-std::vector<TraceReader::WorkerLoad> TraceReader::WorkerLoads() const {
-  std::vector<WorkerLoad> loads;
-  std::vector<uint8_t> seen;
-  auto at = [&](uint32_t worker) -> WorkerLoad& {
-    if (worker >= loads.size()) {
-      loads.resize(worker + 1);
-      seen.resize(worker + 1, 0);
-      for (uint32_t w = 0; w < loads.size(); ++w) {
-        loads[w].worker = w;
-      }
-    }
-    seen[worker] = 1;
-    return loads[worker];
-  };
-  for (const TraceRecord& r : records_) {
-    if (IsKind(r, RecordKind::kDispatch)) {
-      ++at(r.aux >> 8).dispatches;
-    } else if (IsKind(r, RecordKind::kShardTiming)) {
-      WorkerLoad& w = at(r.aux);
-      w.shard_runs += ShardsTimed(r);
-      w.busy_ns += static_cast<uint64_t>(r.v0);
-    } else if (IsKind(r, RecordKind::kRangeTiming)) {
-      WorkerLoad& w = at(r.aux >> 8);
-      ++w.range_runs;
-      w.busy_ns += static_cast<uint64_t>(r.v0);
-    }
-  }
-  std::vector<WorkerLoad> out;
-  for (uint32_t w = 0; w < loads.size(); ++w) {
-    if (seen[w] != 0) {
-      out.push_back(loads[w]);
-    }
-  }
-  return out;
-}
-
-std::vector<TraceReader::ThreadCharge> TraceReader::CpuChargeByThread() const {
-  std::map<uint32_t, ThreadCharge> by_thread;
-  for (const TraceRecord& r : records_) {
-    if (!IsKind(r, RecordKind::kCpuCharge)) {
-      continue;
-    }
-    ThreadCharge& t = by_thread[r.actor];
-    t.thread = r.actor;
-    ++t.quanta;
-    t.billed += r.v0;
-  }
-  std::vector<ThreadCharge> out;
-  out.reserve(by_thread.size());
-  for (const auto& [id, t] : by_thread) {
-    out.push_back(t);
-  }
-  return out;
-}
-
-uint64_t TraceReader::SchedPicks() const {
-  return kind_counts_.empty() ? 0 : kind_counts_[static_cast<size_t>(RecordKind::kSchedPick)];
-}
-
-uint64_t TraceReader::SchedIdlePicks() const {
-  uint64_t idle = 0;
-  for (const TraceRecord& r : records_) {
-    if (IsKind(r, RecordKind::kSchedPick) && r.actor == 0) {
-      ++idle;
-    }
-  }
-  return idle;
-}
-
-uint64_t TraceReader::SchedPlannedPicks() const {
-  uint64_t planned = 0;
-  for (const TraceRecord& r : records_) {
-    if (IsKind(r, RecordKind::kSchedPick) && (r.flags & kSchedPickPlanned) != 0) {
-      ++planned;
-    }
-  }
-  return planned;
-}
-
-uint64_t TraceReader::SchedPlanBuilds() const {
-  return kind_counts_.empty() ? 0
-                              : kind_counts_[static_cast<size_t>(RecordKind::kSchedPlanBuild)];
 }
 
 uint64_t TraceReader::SchedPlannedQuanta() const {

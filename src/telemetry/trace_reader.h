@@ -1,18 +1,23 @@
 // TraceReader — the first-class query API over a telemetry stream.
 //
 // Reads either a live TraceDomain's retained spill or a trace file written
-// by TraceDomain::WriteFile, and reconstructs the aggregates the examples
-// and the energytrace tool print: engine flow totals (bit-for-bit equal to
-// TapEngine's counters when no records were dropped), per-shard flow
-// attribution and timelines, worker load balance, and per-thread CPU
-// billing. Aggregation is integer arithmetic over the records in stream
-// order, so every result is as deterministic as the stream itself.
+// by TraceDomain::WriteFile or a FileStreamSink. Its own jobs are loading,
+// the stream's loss accounting, per-kind record counts, and the two queries
+// that need the record history (ShardTimeline, TapFlows). Every aggregate —
+// engine flow totals (bit-for-bit equal to TapEngine's counters when no
+// records were dropped), per-shard flow attribution, worker load balance,
+// per-thread CPU billing, scheduler counts — comes from the LiveAggregator
+// it feeds the records through while loading: the same fold a live run
+// attaches as a sink, so the live and offline answers are one computation.
+// Aggregation is integer arithmetic over the records in stream order, so
+// every result is as deterministic as the stream itself.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_record.h"
 
 namespace cinder {
@@ -35,7 +40,7 @@ class TraceReader {
 
   const std::vector<TraceRecord>& records() const { return records_; }
   // Frames retained (kFrameMark count) and the stream's loss accounting.
-  uint64_t frames() const { return frames_; }
+  uint64_t frames() const { return fold_.frames(); }
   uint64_t dropped() const { return dropped_; }
   // The drop split: ring overwrites (lost before a flush drained them)
   // vs spill drop-oldest evictions. Exact from a domain; from a file the
@@ -52,27 +57,20 @@ class TraceReader {
   // Per-kind record counts, indexed by RecordKind.
   const std::vector<uint64_t>& kind_counts() const { return kind_counts_; }
 
-  // -- Engine totals -------------------------------------------------------------
-  // Sums of the kShardBatch records. With a complete stream (dropped() == 0,
-  // every batch flushed) these equal TapEngine::total_tap_flow() /
-  // total_decay_flow() bit-for-bit — the fleet example asserts it.
-  int64_t TotalTapFlow() const { return total_tap_flow_; }
-  int64_t TotalDecayFlow() const { return total_decay_flow_; }
+  // -- Aggregates: forwards to the fold (see LiveAggregator) ---------------------
+  int64_t TotalTapFlow() const { return fold_.TotalTapFlow(); }
+  int64_t TotalDecayFlow() const { return fold_.TotalDecayFlow(); }
+  std::vector<ShardFlow> FlowByShard() const { return fold_.FlowByShard(); }
+  std::vector<WorkerLoad> WorkerLoads() const { return fold_.WorkerLoads(); }
+  std::vector<ThreadCharge> CpuChargeByThread() const { return fold_.CpuChargeByThread(); }
+  uint64_t SchedPicks() const { return fold_.SchedPicks(); }
+  uint64_t SchedIdlePicks() const { return fold_.SchedIdlePicks(); }
+  uint64_t SchedPlannedPicks() const { return fold_.SchedPlannedPicks(); }
+  uint64_t SchedPlanBuilds() const { return fold_.SchedPlanBuilds(); }
+  // The total quanta the kSchedPlanBuild records planned (v0).
+  uint64_t SchedPlannedQuanta() const;
 
-  // -- Tap flow attribution / shard load ------------------------------------------
-  struct ShardFlow {
-    uint32_t shard = 0;
-    uint32_t taps = 0;            // From the latest kPlanShard record.
-    uint32_t decay_reserves = 0;  // From the latest kPlanShard record.
-    uint32_t ranges = 1;          // From the latest kPlanShard record.
-    uint64_t batches = 0;         // kShardBatch records seen.
-    int64_t tap_flow = 0;
-    int64_t decay_flow = 0;
-  };
-  // One entry per shard index seen, ascending. Flow sums cover the whole
-  // retained stream.
-  std::vector<ShardFlow> FlowByShard() const;
-
+  // -- Record-history queries ----------------------------------------------------
   // Per-batch flow timeline of one shard: the raw material for a per-phone
   // energy timeline (each fleet phone is one shard). `frame` is the flush
   // sequence number of the batch; cumulative_* are running sums, so the last
@@ -86,37 +84,6 @@ class TraceReader {
     int64_t cumulative_decay_flow = 0;
   };
   std::vector<TimelinePoint> ShardTimeline(uint32_t shard) const;
-
-  // -- Worker load balance ---------------------------------------------------------
-  struct WorkerLoad {
-    uint32_t worker = 0;    // Slot: 0 = the calling thread.
-    uint64_t dispatches = 0;  // Tickets claimed (kDispatch).
-    uint64_t shard_runs = 0;  // Shard-batches timed (kShardTiming, summed v1).
-    uint64_t range_runs = 0;  // Range passes timed (kRangeTiming).
-    uint64_t busy_ns = 0;     // Summed timed nanoseconds.
-  };
-  // One entry per worker slot seen, ascending. Unlike the flow queries this
-  // reflects the actual execution interleaving — it varies run to run and
-  // with the worker count (that is the point: it shows the balance).
-  std::vector<WorkerLoad> WorkerLoads() const;
-
-  // -- Scheduler / threads ----------------------------------------------------------
-  struct ThreadCharge {
-    uint32_t thread = 0;  // Low 32 bits of the thread id.
-    uint64_t quanta = 0;  // kCpuCharge records.
-    int64_t billed = 0;   // Summed nJ — equals the meter's per-thread CPU row.
-  };
-  std::vector<ThreadCharge> CpuChargeByThread() const;
-  // kSchedPick records where nothing was runnable (actor == 0).
-  uint64_t SchedIdlePicks() const;
-  uint64_t SchedPicks() const;
-  // kSchedPick records replayed from a K-quanta run plan (kSchedPickPlanned
-  // flag); the remainder were full single-quantum scans. The plan-hit ratio
-  // is SchedPlannedPicks() / SchedPicks().
-  uint64_t SchedPlannedPicks() const;
-  // kSchedPlanBuild records, and the total quanta those builds planned (v0).
-  uint64_t SchedPlanBuilds() const;
-  uint64_t SchedPlannedQuanta() const;
 
   // -- Fine-grained tap attribution (kTapTransfer + kPlanTap opt-in) ---------------
   struct TapFlow {
@@ -132,13 +99,12 @@ class TraceReader {
   std::vector<TapFlow> TapFlows() const;
 
  private:
-  void Index();  // Fills the totals/counters after records_ is set.
+  // Counts the kinds and feeds the fold, once records_ is set.
+  void Index();
 
   std::vector<TraceRecord> records_;
   std::vector<uint64_t> kind_counts_;
-  int64_t total_tap_flow_ = 0;
-  int64_t total_decay_flow_ = 0;
-  uint64_t frames_ = 0;
+  LiveAggregator fold_;
   uint64_t dropped_ = 0;
   uint64_t ring_dropped_ = 0;
   bool truncated_ = false;

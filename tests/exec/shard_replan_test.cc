@@ -382,8 +382,7 @@ TEST(ShardReplanTest, UpdateWritesPlanRowsOnlyForChangedShards) {
   EXPECT_EQ(retired_batches, 0u) << "a retired shard reported a batch";
 }
 
-void ExpectSameFlows(const std::vector<TraceReader::ShardFlow>& a,
-                     const std::vector<TraceReader::ShardFlow>& b) {
+void ExpectSameFlows(const std::vector<ShardFlow>& a, const std::vector<ShardFlow>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].shard, b[i].shard);
@@ -452,10 +451,10 @@ TEST(ShardReplanTest, ChurnedFleetStreamsExactlyWithoutAlarms) {
     ASSERT_GT(sim->taps().plan_updates(), 50u);
     // Retired shards report nothing more: their batch counts freeze.
     sim->telemetry().FlushFrame();
-    const std::vector<TraceReader::ShardFlow> mid = agg.FlowByShard();
+    const std::vector<ShardFlow> mid = agg.FlowByShard();
     sim->Run(Duration::Millis(50));
     sim->telemetry().FlushFrame();
-    const std::vector<TraceReader::ShardFlow> live = agg.FlowByShard();
+    const std::vector<ShardFlow> live = agg.FlowByShard();
     ASSERT_EQ(mid.size(), live.size());
     for (size_t i = 0; i < live.size(); ++i) {
       if (!sim->taps().shard_live(live[i].shard)) {
@@ -468,11 +467,11 @@ TEST(ShardReplanTest, ChurnedFleetStreamsExactlyWithoutAlarms) {
     // Worker loads count the shard-batches that ran: retired shards left in
     // a unit are not among them.
     uint64_t shard_batches = 0;
-    for (const TraceReader::ShardFlow& f : live) {
+    for (const ShardFlow& f : live) {
       shard_batches += f.batches;
     }
     uint64_t shard_runs = 0;
-    for (const TraceReader::WorkerLoad& w : agg.WorkerLoads()) {
+    for (const WorkerLoad& w : agg.WorkerLoads()) {
       shard_runs += w.shard_runs;
     }
     EXPECT_EQ(shard_runs, shard_batches);
@@ -482,6 +481,8 @@ TEST(ShardReplanTest, ChurnedFleetStreamsExactlyWithoutAlarms) {
     EXPECT_EQ(agg.TotalDecayFlow(), sim->taps().total_decay_flow());
     sim.reset();  // Detaches the sinks; the file is finalized.
 
+    // The reader folds the file's records the way the live sink did, so
+    // equal flows mean the file carries the records the sink saw.
     TraceReader offline;
     std::string error;
     ASSERT_TRUE(TraceReader::LoadFile(path, &offline, &error)) << error;

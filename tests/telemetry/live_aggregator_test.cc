@@ -1,6 +1,8 @@
 // LiveAggregator + HealthMonitor tests: the live windowed view must answer
-// the TraceReader query vocabulary identically to the offline reader on the
-// same stream, windows must close on the frame cadence with correct EWMAs,
+// the query vocabulary identically to the offline reader on the same stream
+// (the reader runs the same fold, so this checks that the sink stream, the
+// retained spill and the file carry the same records), windows must close
+// on the frame cadence with correct EWMAs,
 // and each alarm in the catalog must fire on its synthesized fault — and
 // stay silent on a clean real-simulator run. The LiveAggregatorTest suite
 // runs under TSAN in CI (the aggregator rides the flush path of a real
@@ -63,7 +65,9 @@ TraceRecord Mark(uint64_t seq, uint64_t ring_drops = 0, int64_t t = 0) {
 
 TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
   // A real sharded run, streamed live into the aggregator AND retained for
-  // the offline reader: every shared query must agree exactly.
+  // the offline reader. The reader feeds its records through the same fold,
+  // so exact agreement on every query checks that the sink stream and the
+  // retained spill carry the same records.
   SimConfig cfg;
   cfg.exec.tap_workers = 3;
   cfg.exec.decay_to_shard_root = true;
@@ -128,7 +132,7 @@ TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   // from a file written before work units has v1 = 0 and timed one shard.
   // Older files may also hold kind 15, a retired kind no reader knows: it
   // must load and change no total. The live fold and the offline reader
-  // (through a file) agree on all of it.
+  // (through a file, into the reader's own fold) agree on all of it.
   TelemetryConfig tcfg;
   tcfg.enabled = true;
   tcfg.retain_with_sinks = true;
