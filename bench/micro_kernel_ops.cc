@@ -60,6 +60,9 @@ void BM_ReserveTransferSyscall(benchmark::State& state) {
 }
 BENCHMARK(BM_ReserveTransferSyscall);
 
+// One battery fan-out of `n_taps` taps: a single component, run serially in
+// the caller. At 4096 taps and up it reaches the default split threshold, so
+// those sizes run the range-split pipeline serially.
 void BM_TapBatch(benchmark::State& state) {
   const int n_taps = static_cast<int>(state.range(0));
   Kernel k;
@@ -166,8 +169,8 @@ BENCHMARK(BM_TapBatchStreaming)->Arg(512)->Arg(32768);
 
 // The sharded path on a fleet-like topology: `n_taps` taps spread over 16
 // disconnected components (one source pool each). arg1 is the worker count;
-// 0 runs the same topology through the unsharded engine for a direct
-// baseline. Flows are bit-identical across all variants by construction.
+// 0 runs the same sixteen shards serially in the caller, without a pool.
+// Flows are bit-identical across all variants by construction.
 void BM_TapBatchSharded(benchmark::State& state) {
   const int n_taps = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
@@ -179,7 +182,7 @@ void BM_TapBatchSharded(benchmark::State& state) {
   engine.decay().enabled = false;
   ShardExecutor exec(workers > 0 ? workers : 1);
   if (workers > 0) {
-    engine.EnableSharding(&exec);
+    engine.set_executor(&exec);
   }
   std::vector<Reserve*> pools;
   for (int c = 0; c < kComponents; ++c) {
@@ -214,7 +217,7 @@ BENCHMARK(BM_TapBatchSharded)
 // proportional background reserve, plus a backward tap), so every phone is
 // its own three-tap shard, with decay leaking to each phone's own pool
 // (to_shard_root) and telemetry off. One 10 ms batch per iteration.
-// workers=0 runs the sharded engine serially in the caller.
+// workers=0 runs the shards serially in the caller.
 void BM_TapBatchFleet(benchmark::State& state) {
   const int phones = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
@@ -226,7 +229,7 @@ void BM_TapBatchFleet(benchmark::State& state) {
   engine.decay().half_life = Duration::Minutes(2);
   engine.decay().to_shard_root = true;
   ShardExecutor exec(workers > 0 ? workers : 1);
-  engine.EnableSharding(workers > 0 ? &exec : nullptr);
+  engine.set_executor(workers > 0 ? &exec : nullptr);
   const ObjectId root = k.root_container_id();
   for (int p = 0; p < phones; ++p) {
     Reserve* pool = k.Create<Reserve>(root, Label(Level::k1), "pool");
@@ -253,10 +256,11 @@ BENCHMARK(BM_TapBatchFleet)->ArgNames({"phones", "workers"})->Args({2000, 0})->A
 // The intra-shard range split on a giant single component: one pool fans out
 // to `n_taps` sinks, so shard-level parallelism has exactly one shard to
 // offer and all scaling must come from splitting its plan into ranges.
-// workers=0 runs the sharded engine with splitting disabled (the whole-shard
+// workers=0 runs the shard whole, with splitting disabled (the whole-shard
 // baseline); workers>=1 split into 8 ranges on that many workers (1 = the
 // split pipeline run serially in the caller, isolating the split overhead
-// from pool parallelism).
+// from pool parallelism, and the cost a 0-worker run of such a component
+// pays under the default split config).
 void BM_TapBatchGiant(benchmark::State& state) {
   const int n_taps = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
@@ -269,7 +273,7 @@ void BM_TapBatchGiant(benchmark::State& state) {
     engine.split().min_entries = 0;
   }
   ShardExecutor exec(workers > 0 ? workers : 1);
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
   pool->Deposit(INT64_MAX / 2);
   for (int i = 0; i < n_taps; ++i) {
@@ -305,7 +309,6 @@ void BM_TapBatchChain(benchmark::State& state) {
   TapEngine engine(&k, battery->id());
   engine.decay().enabled = false;
   engine.split().min_entries = 0;
-  engine.EnableSharding(nullptr);
   Reserve* prev = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "head");
   prev->Deposit(INT64_MAX / (2 * depth));
   for (int i = 0; i < depth; ++i) {
@@ -587,7 +590,6 @@ void BM_PlanRebuild(benchmark::State& state, bool one_phone) {
   engine.decay().enabled = true;
   engine.decay().half_life = Duration::Minutes(2);
   engine.decay().to_shard_root = true;
-  engine.EnableSharding(nullptr);
   int serial = 0;
   auto add_phone = [&] {
     const int p = serial++;

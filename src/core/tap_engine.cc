@@ -84,7 +84,9 @@ void BucketOrder(const std::vector<uint32_t>& key, uint32_t buckets, std::vector
 }  // namespace
 
 TapEngine::TapEngine(Kernel* kernel, ObjectId battery_reserve)
-    : kernel_(kernel), battery_reserve_(battery_reserve) {
+    : kernel_(kernel),
+      battery_reserve_(battery_reserve),
+      partitioner_(std::make_unique<ShardPartitioner>()) {
   kernel_->AddObserver(this);
 }
 
@@ -135,21 +137,6 @@ bool TapEngine::Register(ObjectId tap_id) {
 
 bool TapEngine::IsRegistered(ObjectId tap_id) const {
   return std::binary_search(taps_.begin(), taps_.end(), tap_id);
-}
-
-void TapEngine::EnableSharding(ShardExecutor* executor) {
-  sharding_ = true;
-  executor_ = executor;
-  if (partitioner_ == nullptr) {
-    partitioner_ = std::make_unique<ShardPartitioner>();
-  }
-  plan_valid_ = false;
-}
-
-void TapEngine::DisableSharding() {
-  sharding_ = false;
-  executor_ = nullptr;
-  plan_valid_ = false;
 }
 
 void TapEngine::WriteBackBank() {
@@ -218,19 +205,16 @@ void TapEngine::RebuildPlan() {
   // bank, so the objects are stale until this runs.
   WriteBackBank();
 
-  // Shard assignment: one shard per connected component when sharding is on,
-  // a single shard holding everything otherwise. The partitioner caches on
-  // the topology epoch, so label flaps rebuild the plan without re-running
-  // the union-find.
-  num_shards_ = 1;
-  if (sharding_) {
-    const ShardLayout& layout = partitioner_->Partition(*kernel_);
-    num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
-  }
+  // Shard assignment: one shard per connected component (a plan without
+  // components holds one empty shard for the strays). The partitioner
+  // caches on the topology epoch, so label flaps rebuild the plan without
+  // re-running the union-find.
+  const ShardLayout& layout = partitioner_->Partition(*kernel_);
+  num_shards_ = layout.num_shards == 0 ? 1 : layout.num_shards;
 
   // ---- Plan entries: every registered tap that may flow, an entry in its
   // source's shard; counting-sorted shard-major, stable so each shard keeps
-  // tap-id order (the order the unsharded engine flows in).
+  // tap-id order (the order one shard holding everything flows in).
   resolved_.clear();
   entry_shard_.clear();
   ReserveFresh(resolved_, taps_.size());
@@ -240,12 +224,9 @@ void TapEngine::RebuildPlan() {
     if (!ResolveTap(id, &e)) {
       continue;
     }
-    uint32_t s = 0;
-    if (sharding_) {
-      s = partitioner_->ShardOf(kernel_->HandleOf(e.tap->source()));
-      if (s == ShardLayout::kNoShard) {
-        s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
-      }
+    uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(e.tap->source()));
+    if (s == ShardLayout::kNoShard) {
+      s = 0;  // Unreachable: a plan entry's endpoints are a live tap edge.
     }
     resolved_.push_back(e);
     entry_shard_.push_back(s);
@@ -254,9 +235,9 @@ void TapEngine::RebuildPlan() {
 
   // ---- Reserves, likewise shard-major in id order. Strayness (no tap
   // touches the reserve) is a property of the component graph, not of the
-  // shard count: classify it whenever a partitioner ran, so a
-  // single-component fleet routes stray leakage exactly like a large one.
-  // Strays are spread round-robin (in id order, so deterministically).
+  // shard count, so a single-component fleet routes stray leakage exactly
+  // like a large one. Strays are spread round-robin (in id order, so
+  // deterministically).
   const std::vector<ObjectId>& reserves = kernel_->ObjectsOfType(ObjectType::kReserve);
   const auto nr = static_cast<uint32_t>(reserves.size());
   resv_first_ = 0;
@@ -264,13 +245,10 @@ void TapEngine::RebuildPlan() {
   reserve_stray_.assign(nr, 0);
   uint32_t round_robin = 0;
   for (uint32_t i = 0; i < nr; ++i) {
-    uint32_t s = 0;
-    if (sharding_) {
-      s = partitioner_->ShardOf(kernel_->HandleOf(reserves[i]));
-      if (s == ShardLayout::kNoShard) {
-        reserve_stray_[i] = 1;
-        s = round_robin++ % num_shards_;
-      }
+    uint32_t s = partitioner_->ShardOf(kernel_->HandleOf(reserves[i]));
+    if (s == ShardLayout::kNoShard) {
+      reserve_stray_[i] = 1;
+      s = round_robin++ % num_shards_;
     }
     reserve_shard_[i] = s;
   }
@@ -359,7 +337,7 @@ void TapEngine::RebuildPlan() {
 
 bool TapEngine::TryUpdatePlan() {
   const uint32_t mask = telem_ != nullptr ? telem_->record_mask() : 0;
-  if (!plan_valid_ || !sharding_ || kernel_->access_epoch() != plan_access_epoch_ ||
+  if (!plan_valid_ || kernel_->access_epoch() != plan_access_epoch_ ||
       split_.min_entries != plan_split_.min_entries || split_.ranges != plan_split_.ranges ||
       mask != plan_record_mask_) {
     return false;
@@ -541,7 +519,7 @@ bool TapEngine::ResolveTap(ObjectId id, ResolvedTap* out) const {
 
 void TapEngine::PlaceShard(uint32_t s, uint32_t reserves, uint32_t entries) {
   uint32_t weight = 0;
-  if (sharding_ && s < partitioner_->layout().num_shards) {
+  if (s < partitioner_->layout().num_shards) {
     // The partitioner's component sizes — topology-stable, so a label flap
     // that hides a few taps cannot move unit boundaries (or the padding)
     // between rebuilds.
@@ -711,7 +689,7 @@ void TapEngine::IndexGroups(uint32_t first) {
 }
 
 bool TapEngine::SplitCandidate(uint32_t s, uint32_t entries) const {
-  if (!sharding_ || split_.min_entries == 0 || split_.ranges < 2 || entries < 2) {
+  if (split_.min_entries == 0 || split_.ranges < 2 || entries < 2) {
     return false;
   }
   // Size by the larger of the partitioner's component edge count and the
@@ -998,9 +976,6 @@ void TapEngine::RunBatch(Duration dt) {
   // only worth paying when decay will actually run.
   decay_frac_ =
       decay_.enabled ? 1.0 - std::exp2(-dt.seconds_f() / decay_.half_life.seconds_f()) : 0.0;
-  // Shard sinks are the partitioner's components; without sharding there is
-  // no component structure to route by, so the flag is inert.
-  decay_to_root_ = decay_.to_shard_root && sharding_;
   // Cache the record-mask bits for this batch: written here on the main
   // thread, read by workers past the executor's happens-before edge.
   const uint32_t tmask = telem_ != nullptr ? telem_->record_mask() : 0;
@@ -1012,7 +987,7 @@ void TapEngine::RunBatch(Duration dt) {
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
   if (num_shards_ == 1 && split_shards_.empty() && shard_live_[0] != 0) {
-    // One-shard plan (the unsharded engine, a one-component fleet): its one
+    // One-shard plan (a single device, a one-component fleet): its one
     // unit inline, without the ticket loop and the scratch round trip. The
     // same work as the general path, whose fixed cost is 18–70% of
     // BM_TapBatchWithDecay/8 (docs/PERFORMANCE.md, "What units replaced").
@@ -1056,8 +1031,8 @@ void TapEngine::RunBatch(Duration dt) {
   // the decay leakage each shard banked for its sink (the battery root, or
   // the shard root when decay_to_shard_root is on). Deferring the deposits
   // here is what keeps the sink's shard race-free — and it exactly matches
-  // the unsharded engine, where every tap reads the battery before the decay
-  // pass touches it.
+  // one shard holding everything, where every tap reads the battery before
+  // the decay pass touches it.
   for (uint32_t s = 0; s < num_shards_; ++s) {
     if (shard_live_[s] != 0) {
       MergeShard(s, scratch_[s].tap_flow, scratch_[s].decay);
@@ -1132,7 +1107,7 @@ inline void TapEngine::MergeShard(uint32_t shard, Quantity tap_flow, const Decay
   // decay_to_shard_root is on; strays' leakage always to the battery.
   Reserve* const battery = battery_cache_;
   if (decay.leak > 0) {
-    Reserve* sink = decay_to_root_ ? shard_sink_[shard] : battery;
+    Reserve* sink = decay_.to_shard_root ? shard_sink_[shard] : battery;
     if (sink == nullptr) {
       sink = battery;
     }
@@ -1476,7 +1451,7 @@ TapEngine::DecayResult TapEngine::DecayShard(uint32_t shard) {
   uint8_t* const flags = rbank_.flags();
   // The shard root absorbs leakage when to_shard_root is on; like the battery
   // root it does not leak itself, so it stays on the list but is skipped.
-  const bool to_root = decay_to_root_;
+  const bool to_root = decay_.to_shard_root;
   const uint32_t sink_slot = to_root ? shard_sink_slot_[shard] : kNoBankSlot;
   std::vector<uint32_t>& active = decay_active_[shard];
   Quantity shard_decay = 0;
@@ -1545,7 +1520,7 @@ void TapEngine::OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handl
   // mutation epoch, which the next UpdatePlan re-stamps. Until then no batch
   // runs, and the bank stays live for the surviving attached objects (dead
   // slots are skipped via their stale handles).
-  if ((type != ObjectType::kReserve && type != ObjectType::kTap) || !plan_valid_ || !sharding_) {
+  if ((type != ObjectType::kReserve && type != ObjectType::kTap) || !plan_valid_) {
     return;  // Nothing to queue: no plan, or the next build is full anyway.
   }
   // Past the plan's own size a full rebuild costs no more than the update.

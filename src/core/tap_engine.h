@@ -11,17 +11,18 @@
 //
 // Sharded execution (src/exec): taps only touch the two reserves they
 // connect, so the connected components of the reserve/tap graph are
-// independent within a batch. With sharding enabled the cached flow plan is
-// laid out shard-major, and consecutive shards are grouped into work units
-// of at least kUnitEntries plan entries plus decay-wired reserves: one
-// executor ticket runs a whole unit — every shard's two tap passes and decay
-// slice, back to back — serially, or on a ShardExecutor worker pool (largest
-// unit first, so one giant component never serializes the tail of a batch).
-// A shard the range split subdivides is a unit of its own. Cross-shard
-// state (flow totals, decay leakage into the battery root or the per-shard
-// sinks) is accumulated per shard and merged after the batch in shard order,
-// so results are bit-identical to the unsharded engine regardless of worker
-// count or unit layout.
+// independent within a batch. Every plan build partitions the graph into
+// one shard per component and lays the cached flow plan out shard-major;
+// consecutive shards are grouped into work units of at least kUnitEntries
+// plan entries plus decay-wired reserves. One ticket runs a whole unit —
+// every shard's two tap passes and decay slice, back to back — serially in
+// the caller, or on a ShardExecutor worker pool (largest unit first, so one
+// giant component never serializes the tail of a batch). A shard the range
+// split subdivides is a unit of its own. Cross-shard state (flow totals,
+// decay leakage into the battery root or the per-shard sinks) is
+// accumulated per shard and merged after the batch in shard order, so
+// results are the same bits for any worker count or unit layout, and equal
+// to the same reserves and taps run as one shard.
 //
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
@@ -91,8 +92,7 @@ struct DecayConfig {
   // not leak while this is on: it is the shard-local analogue of the
   // (decay-exempt) battery root. Reserves no tap touches belong to no
   // component and keep leaking to the battery. Takes effect on the next
-  // batch; requires sharded mode (EnableSharding — a null executor is fine)
-  // and is inert otherwise, since the sinks are the partitioner's components.
+  // batch.
   bool to_shard_root = false;
 };
 
@@ -148,17 +148,18 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   static constexpr double kPlanHeadroom = 0.125;
 
   // -- Sharded execution --------------------------------------------------------
-  // Partitions the flow plan into independent per-component shards, grouped
-  // into work units, and runs each unit as one ticket on `executor`
-  // (serially in the calling thread when null). Flows stay bit-identical to the unsharded
-  // engine for any worker count. The engine does not own the executor; it
-  // must outlive sharded batches.
-  void EnableSharding(ShardExecutor* executor);
-  void DisableSharding();
-  bool sharding_enabled() const { return sharding_; }
-  // Shards in the current plan (1 when sharding is disabled), counting the
-  // shards in-place updates retired since the last full rebuild. Valid after
-  // a plan build, i.e. after any batch.
+  // Runs each batch's tickets on `executor`, or serially in the calling
+  // thread when null (the default). Flows are the same bits either way. The
+  // engine does not own the executor; it must outlive the batches it runs.
+  // Takes effect on the next batch: the plan is rebuilt so the telemetry
+  // rings are sized for the new worker count.
+  void set_executor(ShardExecutor* executor) {
+    executor_ = executor;
+    plan_valid_ = false;
+  }
+  // Shards in the current plan (at least 1), counting the shards in-place
+  // updates retired since the last full rebuild. Valid after a plan build,
+  // i.e. after any batch.
   uint32_t shard_count() const { return num_shards_; }
   // False for a shard an in-place update retired: it runs nothing.
   bool shard_live(uint32_t s) const { return shard_live_[s] != 0; }
@@ -167,8 +168,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   uint32_t unit_count() const { return static_cast<uint32_t>(unit_shard_begin_.size()) - 1; }
   uint32_t unit_first_shard(uint32_t u) const { return unit_shard_begin_[u]; }
 
-  // Per-shard accounting since the last full plan rebuild (sharded mode);
-  // all zero for a retired shard.
+  // Per-shard accounting since the last full plan rebuild; all zero for a
+  // retired shard.
   struct ShardStats {
     uint32_t taps = 0;            // Plan entries in the shard.
     uint32_t decay_reserves = 0;  // Energy reserves whose decay runs here.
@@ -360,15 +361,15 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   uint64_t plan_updates_ = 0;
 
   // -- Cached flow plan (SoA) ---------------------------------------------------
-  // Entries are laid out shard-major, tap-id order within a shard (one shard
-  // holds everything when sharding is off); shard s owns plan indices
-  // [shard_plan_begin_[s], shard_plan_begin_[s+1]). plan_src_/plan_dst_ hold
-  // ReserveStateBank slots, plan_group_ the per-source demand slot. The
-  // per-entry mutable state (tap carry/transferred/rate/enabled and the
-  // pass-1 `want_` scratch) is indexed through the *padded* per-entry index
-  // ti = shard_want_begin_[s] + (i - shard_plan_begin_[s]), so each unit's
-  // slice of those arrays starts cache-line aligned and concurrent units
-  // never write the same line. -1 in want_ marks "skip".
+  // Entries are laid out shard-major, tap-id order within a shard; shard s
+  // owns plan indices [shard_plan_begin_[s], shard_plan_begin_[s+1]).
+  // plan_src_/plan_dst_ hold ReserveStateBank slots, plan_group_ the
+  // per-source demand slot. The per-entry mutable state (tap
+  // carry/transferred/rate/enabled and the pass-1 `want_` scratch) is
+  // indexed through the *padded* per-entry index ti = shard_want_begin_[s] +
+  // (i - shard_plan_begin_[s]), so each unit's slice of those arrays starts
+  // cache-line aligned and concurrent units never write the same line. -1 in
+  // want_ marks "skip".
   std::vector<uint32_t> plan_src_;
   std::vector<uint32_t> plan_dst_;
   std::vector<uint32_t> plan_group_;
@@ -510,14 +511,12 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool telem_decay_records_ = false;
   bool telem_reserve_ops_ = false;
 
-  bool sharding_ = false;
   ShardExecutor* executor_ = nullptr;
-  std::unique_ptr<ShardPartitioner> partitioner_;  // Created on EnableSharding.
+  std::unique_ptr<ShardPartitioner> partitioner_;
   uint32_t num_shards_ = 1;
   // Batch-wide constants published before the (possibly parallel) shard runs.
   double batch_dt_s_ = 0.0;
   double decay_frac_ = 0.0;
-  bool decay_to_root_ = false;
 
   // Plan-build scratch (kept to reuse capacity across builds): the resolved
   // taps, each one's shard, and the entries counting-sorted shard-major

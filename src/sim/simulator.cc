@@ -44,10 +44,7 @@ Simulator::Simulator(SimConfig config)
   tap_engine_->split().ranges = config_.exec.tap_split_ranges;
   if (config_.exec.tap_workers >= 1) {
     shard_executor_ = std::make_unique<ShardExecutor>(config_.exec.tap_workers);
-    tap_engine_->EnableSharding(shard_executor_.get());
-  } else if (config_.exec.decay_to_shard_root) {
-    // Shard sinks are per-component; run sharded but serial in the caller.
-    tap_engine_->EnableSharding(nullptr);
+    tap_engine_->set_executor(shard_executor_.get());
   }
   scheduler_ = std::make_unique<EnergyAwareScheduler>(&kernel_);
 

@@ -36,7 +36,7 @@
 namespace cinder {
 
 // Tap-batch execution knobs, grouped. Most configure how batches execute,
-// not what they compute; three fields can change result bits:
+// not what they compute; three fields are part of the result's definition:
 // - decay_to_shard_root changes what a batch computes: each shard's leakage
 //   lands in that shard's root reserve instead of the battery.
 // - tap_split_threshold and tap_split_ranges decide which shards split. A
@@ -44,29 +44,24 @@ namespace cinder {
 //   across range boundaries, so they can differ from the whole-shard bits
 //   (docs/PERFORMANCE.md, "The reduction-order contract"); unconstrained
 //   groups match it bit for bit.
-// - They split only in sharded mode, and tap_workers = 0 without
-//   decay_to_shard_root runs unsharded. So a component at the threshold can
-//   get different bits at 0 workers than at 1 or more.
-// Within one sharded setting of those three, the worker count never changes
-// a bit, and sched_plan_quanta never does.
+// The worker count never changes a result bit, and sched_plan_quanta never
+// does.
 struct ExecConfig {
-  // 0 leaves the engine unsharded (the single-device default); >= 1
-  // partitions the reserve/tap graph into independent shards and runs
-  // batches on that many workers (1 = sharded but serial). Sharding pays off
-  // for fleet scenarios with many disconnected devices.
+  // The reserve/tap graph is always partitioned into independent shards,
+  // one per connected component. 0 runs them serially in the calling thread
+  // (the single-device default); >= 1 runs them on a pool of that many
+  // workers. Workers pay off for fleet scenarios with many disconnected
+  // devices.
   int tap_workers = 0;
   // Route each shard's decay leakage back to that shard's smallest-id energy
   // reserve instead of the single battery root — fleet scenarios where each
-  // phone's hoarded energy should return to its own pool. Implies sharded
-  // (serial) execution even when tap_workers is 0, since the sinks are the
-  // partitioner's components.
+  // phone's hoarded energy should return to its own pool.
   bool decay_to_shard_root = false;
   // Intra-shard range splitting: shards whose plan section (or edge count)
   // reaches the threshold have their tap batch split into `tap_split_ranges`
-  // contiguous ranges that run as independent worker tickets, with a
-  // fixed-order reduction so flows stay bit-identical at any worker count.
-  // Threshold 0 (or ranges < 2) disables splitting. Only meaningful in
-  // sharded mode (tap_workers >= 1, or decay_to_shard_root).
+  // contiguous ranges that run as independent tickets, with a fixed-order
+  // reduction so flows stay bit-identical at any worker count, 0 included.
+  // Threshold 0 (or ranges < 2) disables splitting.
   uint32_t tap_split_threshold = 4096;
   uint32_t tap_split_ranges = 8;
   // K-quanta scheduler run plans: Run/RunUntil may precompute the pick
@@ -97,7 +92,7 @@ struct SimConfig {
   Duration decay_half_life = Duration::Minutes(10);
   Duration probe_interval = Duration::Millis(200);
   // Execution and telemetry are nested configs (PR 7): exec groups the
-  // sharding/splitting knobs, telemetry configures the trace domain the
+  // worker/splitting knobs, telemetry configures the trace domain the
   // simulator owns (per-worker rings, record mask, spill).
   ExecConfig exec;
   TelemetryConfig telemetry;

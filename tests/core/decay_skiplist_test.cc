@@ -82,8 +82,8 @@ TEST_F(DecaySkipListTest, EmptyReserveKeepsItsCarryWhileSkipped) {
   EXPECT_GT(carry, 0.0);
   r->Withdraw(r->level());
   // Several batches while empty: the skip-list never visits it, so the carry
-  // must be exactly untouched (the unsharded pre-skip-list engine skipped
-  // without touching carry too).
+  // must be exactly untouched (the pre-skip-list engine skipped without
+  // touching carry too).
   for (int i = 0; i < 100; ++i) {
     engine_->RunBatch(Duration::Millis(10));
   }

@@ -122,7 +122,7 @@ TEST(HotPathAllocTest, ShardedSteadyStateIsAllocationFree) {
   battery->set_decay_exempt(true);
   ShardExecutor exec(2);
   TapEngine engine(&k, battery->id());
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = true;
   // 128 taps per component: the 8 components fill two work units, so the
   // batches really wake the pool.
@@ -173,7 +173,7 @@ TEST(HotPathAllocTest, RangeSplitSteadyStateIsAllocationFree) {
   TapEngine engine(&k, battery->id());
   engine.split().min_entries = 8;
   engine.split().ranges = 4;
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = true;
   Reserve* pool = k.Create<Reserve>(
       k.root_container_id(), Label(Level::k1), "pool");
@@ -233,7 +233,7 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
   battery->set_decay_exempt(true);
   ShardExecutor exec(2);
   TapEngine engine(&k, battery->id());
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = true;
   TelemetryConfig cfg;
   cfg.enabled = true;
@@ -324,7 +324,7 @@ TEST(HotPathAllocTest, TelemetryMultiUnitFleetIsAllocationFreeAfterRingGrowth) {
   battery->set_decay_exempt(true);
   ShardExecutor exec(4);
   TapEngine engine(&k, battery->id());
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = true;
   engine.decay().to_shard_root = true;
   TelemetryConfig cfg;
@@ -375,7 +375,7 @@ TEST(HotPathAllocTest, BatchesAfterAnInPlaceUpdateAreAllocationFree) {
     battery->set_decay_exempt(true);
     ShardExecutor exec(workers > 0 ? workers : 1);
     TapEngine engine(&k, battery->id());
-    engine.EnableSharding(workers > 0 ? &exec : nullptr);
+    engine.set_executor(workers > 0 ? &exec : nullptr);
     engine.decay().enabled = true;
     engine.decay().to_shard_root = true;
     TelemetryConfig cfg;

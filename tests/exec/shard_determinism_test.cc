@@ -1,8 +1,9 @@
-// The sharded executor's correctness bar: for any worker count, sharded
-// batches must be bit-identical to the unsharded engine — same levels, same
-// sub-unit carries, same per-tap totals — because shards are true connected
-// components and the only cross-shard state (engine totals, decay leakage
-// into the battery root) is merged deterministically in shard order.
+// The sharded executor's correctness bar: for any worker count, a fleet of
+// per-phone shards must be bit-identical to the same fleet run as one shard
+// — same levels, same sub-unit carries, same per-tap totals — because shards
+// are true connected components and the only cross-shard state (engine
+// totals, decay leakage into the battery root) is merged deterministically
+// in shard order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,22 +12,27 @@
 
 #include "src/core/tap_engine.h"
 #include "src/exec/shard_executor.h"
+#include "tests/exec/one_shard_reference.h"
 
 namespace cinder {
 namespace {
 
 constexpr int kPhones = 8;
 
-// One kernel + engine hosting a fleet of disconnected "phones". Each phone is
-// its own reserve/tap component: a pool feeding two apps (which contend), an
+// One kernel + engine hosting a fleet of "phones". Each phone is its own
+// reserve/tap component: a pool feeding two apps (which contend), an
 // app-to-app proportional tap, a backward tap, and a tap-less hoard reserve
-// that only the decay pass touches.
+// that only the decay pass touches. With `one_shard`, a bridge from the
+// battery to every pool joins the phones into one component: the same flows,
+// run as one shard (tests/exec/one_shard_reference.h).
 struct Fleet {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
   ObjectId battery = kInvalidObjectId;
+  bool one_shard = false;
 
-  explicit Fleet(ShardExecutor* executor = nullptr, bool sharded = false) {
+  explicit Fleet(ShardExecutor* executor = nullptr, bool one_shard_reference = false)
+      : one_shard(one_shard_reference) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
     b->Deposit(ToQuantity(Energy::Joules(15000.0)));
@@ -34,9 +40,7 @@ struct Fleet {
     engine = std::make_unique<TapEngine>(&kernel, battery);
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(30);
-    if (sharded) {
-      engine->EnableSharding(executor);
-    }
+    engine->set_executor(executor);
     for (int p = 0; p < kPhones; ++p) {
       AddPhone(p);
     }
@@ -70,6 +74,9 @@ struct Fleet {
       guarded.Set(kernel.categories().Allocate(), Level::k3);
       a->set_label(guarded);
     }
+    if (one_shard) {
+      BridgeReserve(kernel, battery, *pool);
+    }
   }
 
   Reserve* NewReserve(const std::string& name) {
@@ -96,20 +103,21 @@ void ExpectIdenticalState(Fleet& want, Fleet& got, const char* label) {
   const auto& got_reserves = got.kernel.ObjectsOfType(ObjectType::kReserve);
   ASSERT_EQ(want_reserves.size(), got_reserves.size());
   for (size_t i = 0; i < want_reserves.size(); ++i) {
-    ASSERT_EQ(want_reserves[i], got_reserves[i]);
     const Reserve* rw = want.kernel.LookupTyped<Reserve>(want_reserves[i]);
     const Reserve* rg = got.kernel.LookupTyped<Reserve>(got_reserves[i]);
+    ASSERT_EQ(rw->name(), rg->name());
     EXPECT_EQ(rw->level(), rg->level()) << rw->name();
     EXPECT_EQ(rw->total_deposited(), rg->total_deposited()) << rw->name();
     EXPECT_EQ(rw->total_consumed(), rg->total_consumed()) << rw->name();
     EXPECT_TRUE(rw->decay_carry() == rg->decay_carry()) << rw->name();
   }
-  const auto& want_taps = want.kernel.ObjectsOfType(ObjectType::kTap);
-  const auto& got_taps = got.kernel.ObjectsOfType(ObjectType::kTap);
+  const std::vector<ObjectId> want_taps = RegisteredTaps(want.kernel, *want.engine);
+  const std::vector<ObjectId> got_taps = RegisteredTaps(got.kernel, *got.engine);
   ASSERT_EQ(want_taps.size(), got_taps.size());
   for (size_t i = 0; i < want_taps.size(); ++i) {
     const Tap* tw = want.kernel.LookupTyped<Tap>(want_taps[i]);
     const Tap* tg = got.kernel.LookupTyped<Tap>(got_taps[i]);
+    ASSERT_EQ(tw->name(), tg->name());
     EXPECT_EQ(tw->total_transferred(), tg->total_transferred()) << tw->name();
     EXPECT_TRUE(tw->carry() == tg->carry()) << tw->name();
   }
@@ -117,69 +125,70 @@ void ExpectIdenticalState(Fleet& want, Fleet& got, const char* label) {
   EXPECT_EQ(want.engine->total_decay_flow(), got.engine->total_decay_flow());
 }
 
-TEST(ShardDeterminismTest, GoldenShardedMatchesUnshardedAt1_2_8Workers) {
-  Fleet unsharded;
-  unsharded.RunBatches(10000);
+TEST(ShardDeterminismTest, GoldenShardedMatchesOneShardAt0_1_2_8Workers) {
+  Fleet one_shard(nullptr, /*one_shard_reference=*/true);
+  one_shard.RunBatches(10000);
+  ASSERT_EQ(one_shard.engine->shard_count(), 1u);
 
-  for (int workers : {1, 2, 8}) {
-    ShardExecutor exec(workers);
-    Fleet sharded(&exec, /*sharded=*/true);
+  for (int workers : {0, 1, 2, 8}) {
+    ShardExecutor exec(workers > 0 ? workers : 1);
+    Fleet sharded(workers > 0 ? &exec : nullptr);
     sharded.RunBatches(10000);
     EXPECT_EQ(sharded.engine->shard_count(), static_cast<uint32_t>(kPhones));
-    ExpectIdenticalState(unsharded, sharded,
-                         ("workers=" + std::to_string(workers)).c_str());
+    ExpectIdenticalState(one_shard, sharded, ("workers=" + std::to_string(workers)).c_str());
   }
 }
 
 TEST(ShardDeterminismTest, MidRunTopologyMutationStaysIdentical) {
   ShardExecutor exec(2);
-  Fleet unsharded;
-  Fleet sharded(&exec, /*sharded=*/true);
+  Fleet one_shard(nullptr, /*one_shard_reference=*/true);
+  Fleet sharded(&exec);
 
   auto mutate = [](Fleet& f) {
     // Grow the fleet and delete one tap mid-run: the epoch contract must
     // repartition and keep the two engines in lock-step.
     f.AddPhone(kPhones);
-    const auto& taps = f.kernel.ObjectsOfType(ObjectType::kTap);
+    const std::vector<ObjectId> taps = RegisteredTaps(f.kernel, *f.engine);
     ASSERT_FALSE(taps.empty());
     ASSERT_EQ(f.kernel.Delete(taps[1]), Status::kOk);
   };
 
-  unsharded.RunBatches(3000);
+  one_shard.RunBatches(3000);
   sharded.RunBatches(3000);
-  mutate(unsharded);
+  mutate(one_shard);
   mutate(sharded);
-  unsharded.RunBatches(3000);
+  one_shard.RunBatches(3000);
   sharded.RunBatches(3000);
+  EXPECT_EQ(one_shard.engine->shard_count(), 1u);
   EXPECT_EQ(sharded.engine->shard_count(), static_cast<uint32_t>(kPhones) + 1);
-  ExpectIdenticalState(unsharded, sharded, "after mutation");
+  ExpectIdenticalState(one_shard, sharded, "after mutation");
 }
 
 TEST(ShardDeterminismTest, IrregularBatchDurationsStayIdentical) {
   ShardExecutor exec(8);
-  Fleet unsharded;
-  Fleet sharded(&exec, /*sharded=*/true);
+  Fleet one_shard(nullptr, /*one_shard_reference=*/true);
+  Fleet sharded(&exec);
   for (int i = 0; i < 4000; ++i) {
     const Duration dt = Duration::Micros(1000 + 7919 * (i % 13));
-    unsharded.engine->RunBatch(dt);
+    one_shard.engine->RunBatch(dt);
     sharded.engine->RunBatch(dt);
   }
-  ExpectIdenticalState(unsharded, sharded, "irregular durations");
+  EXPECT_EQ(one_shard.engine->shard_count(), 1u);
+  ExpectIdenticalState(one_shard, sharded, "irregular durations");
 }
 
 // decay_to_shard_root golden: with per-shard sinks on, results must still be
-// bit-identical across worker counts (the serial sharded engine is the
-// reference), the battery must receive no decay leakage, and every shard's
-// leakage must land in that shard's smallest-id energy reserve (the pool).
+// bit-identical across worker counts (the serial engine is the reference),
+// the battery must receive no decay leakage, and every shard's leakage must
+// land in that shard's smallest-id energy reserve (the pool).
 TEST(ShardDeterminismTest, DecayToShardRootIdenticalAcrossWorkerCounts) {
-  ShardExecutor serial(1);
-  Fleet reference(&serial, /*sharded=*/true);
+  Fleet reference;
   reference.engine->decay().to_shard_root = true;
   reference.RunBatches(5000);
 
-  for (int workers : {2, 8}) {
+  for (int workers : {1, 2, 8}) {
     ShardExecutor exec(workers);
-    Fleet got(&exec, /*sharded=*/true);
+    Fleet got(&exec);
     got.engine->decay().to_shard_root = true;
     got.RunBatches(5000);
     ExpectIdenticalState(reference, got,
@@ -193,7 +202,7 @@ TEST(ShardDeterminismTest, DecayToShardRootIdenticalAcrossWorkerCounts) {
 // root — never to whichever shard round-robin happened to balance it into.
 TEST(ShardDeterminismTest, DecayToShardRootRoutesLeakageByComponent) {
   ShardExecutor exec(2);
-  Fleet fleet(&exec, /*sharded=*/true);
+  Fleet fleet(&exec);
   fleet.engine->decay().to_shard_root = true;
   const Reserve* battery = fleet.kernel.LookupTyped<Reserve>(fleet.battery);
   const Quantity battery_deposited_before = battery->total_deposited();
@@ -251,7 +260,7 @@ TEST(ShardDeterminismTest, DecayToShardRootSingleComponentStrayStillLeaksToBatte
   engine.decay().enabled = true;
   engine.decay().half_life = Duration::Seconds(30);
   engine.decay().to_shard_root = true;
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
   pool->Deposit(ToQuantity(Energy::Joules(50.0)));
   Reserve* app = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "app");
@@ -277,21 +286,21 @@ TEST(ShardDeterminismTest, DecayToShardRootSingleComponentStrayStillLeaksToBatte
             engine.total_decay_flow() - hoard_loss);
 }
 
-TEST(ShardDeterminismTest, DecayToShardRootOffMatchesUnshardedGolden) {
-  // The flag's default-off path is the existing guarantee: sharded == the
-  // unsharded engine bit for bit. Pin it explicitly next to the flag-on test.
-  Fleet unsharded;
+TEST(ShardDeterminismTest, DecayToShardRootOffMatchesOneShardGolden) {
+  // The flag's default-off path is the existing guarantee: per-phone shards
+  // == one shard bit for bit. Pin it explicitly next to the flag-on test.
+  Fleet one_shard(nullptr, /*one_shard_reference=*/true);
   ShardExecutor exec(4);
-  Fleet sharded(&exec, /*sharded=*/true);
+  Fleet sharded(&exec);
   ASSERT_FALSE(sharded.engine->decay().to_shard_root);
-  unsharded.RunBatches(2000);
+  one_shard.RunBatches(2000);
   sharded.RunBatches(2000);
-  ExpectIdenticalState(unsharded, sharded, "to_shard_root off");
+  ExpectIdenticalState(one_shard, sharded, "to_shard_root off");
 }
 
 TEST(ShardDeterminismTest, ShardStatsCoverThePlan) {
   ShardExecutor exec(2);
-  Fleet sharded(&exec, /*sharded=*/true);
+  Fleet sharded(&exec);
   sharded.RunBatches(100);
   const auto& stats = sharded.engine->shard_stats();
   ASSERT_EQ(stats.size(), sharded.engine->shard_count());

@@ -47,7 +47,7 @@ struct ReplanRig {
     engine->decay().half_life = Duration::Seconds(40);
     engine->decay().to_shard_root = to_root;
     engine->split().min_entries = kSplitMin;
-    engine->EnableSharding(executor);
+    engine->set_executor(executor);
   }
 
   Reserve* NewReserve(ObjectId home, const std::string& name,
@@ -336,9 +336,13 @@ TEST(ShardReplanTest, ConfigChangesRebuildInFull) {
             kFull);
   rig->engine->set_telemetry(nullptr);
   rig->Batch(Duration::Millis(10));
-  rig->engine->DisableSharding();
+  // A new executor re-plans once (the rings are sized for its worker
+  // count); the next phone is an in-place update again.
+  ShardExecutor exec(2);
+  rig->engine->set_executor(&exec);
   EXPECT_EQ(PathsTaken(*rig, [&] { rig->AddPhone(2003); }), kFull);
-  EXPECT_EQ(PathsTaken(*rig, [&] { rig->AddPhone(2004); }), kFull);
+  EXPECT_EQ(PathsTaken(*rig, [&] { rig->AddPhone(2004); }), kUpdate);
+  rig->engine->set_executor(nullptr);
 }
 
 // -- Telemetry with tombstones ---------------------------------------------------------

@@ -5,12 +5,14 @@
 //     1, 2, 4, and 8 pool workers must be bit-identical, because every
 //     floating-point association is pinned by the fixed range-order
 //     reduction, never by ticket scheduling.
-//  2. Split-vs-unsplit identity for provably unconstrained groups: when a
+//  2. Split-vs-whole identity for provably unconstrained groups: when a
 //     group's demand fits its source's opening level, granted == want for
-//     every entry in both engines, so even a split shard must match the
-//     plain unsharded engine bit for bit. (Constrained groups re-associate
-//     the demand sum across range boundaries, so there the contract is
-//     deliberately only #1 — see docs/PERFORMANCE.md, "Range split".)
+//     every entry in both runs, so even a split shard's unconstrained groups
+//     must match the same reserves and taps run as one whole shard bit for
+//     bit — in a shard that also holds constrained groups, too. (Constrained
+//     groups re-associate the demand sum across range boundaries, so there
+//     the contract is deliberately only #1 — see docs/PERFORMANCE.md,
+//     "Range split".)
 //
 // The graphs are adversarial on purpose: single-group mega-shards whose one
 // group straddles every range boundary, ranges of size one with empty tails,
@@ -24,23 +26,27 @@
 
 #include "src/core/tap_engine.h"
 #include "src/exec/shard_executor.h"
+#include "tests/exec/one_shard_reference.h"
 
 namespace cinder {
 namespace {
 
-// One kernel + engine with an optional executor and a split config. The
+// One kernel + engine with an optional executor (null runs the tickets
+// serially in the caller) and a split config; split_min 0 runs every
+// component whole, the reference for the unconstrained identity. With
+// `one_shard`, Bridge joins each component to the battery's, so the
+// reference is one whole shard (tests/exec/one_shard_reference.h). The
 // graph-building helpers are deterministic, so two rigs fed the same calls
-// hold object-for-object identical state.
+// hold the same reserves and registered taps.
 struct Rig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
   ObjectId battery = kInvalidObjectId;
+  bool one_shard = false;
 
-  // sharded=false gives the plain unsharded engine (the PR-2 golden
-  // reference); executor=nullptr with sharded=true runs tickets serially in
-  // the caller.
-  explicit Rig(ShardExecutor* executor = nullptr, bool sharded = false,
-               uint32_t split_min = 0, uint32_t split_ranges = 8) {
+  explicit Rig(ShardExecutor* executor = nullptr, uint32_t split_min = 0,
+               uint32_t split_ranges = 8, bool one_shard_reference = false)
+      : one_shard(one_shard_reference) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
     b->Deposit(ToQuantity(Energy::Joules(50000.0)));
@@ -50,8 +56,12 @@ struct Rig {
     engine->decay().half_life = Duration::Seconds(30);
     engine->split().min_entries = split_min;
     engine->split().ranges = split_ranges;
-    if (sharded) {
-      engine->EnableSharding(executor);
+    engine->set_executor(executor);
+  }
+
+  void Bridge(const Reserve* r) {
+    if (one_shard) {
+      BridgeReserve(kernel, battery, *r);
     }
   }
 
@@ -71,6 +81,7 @@ struct Rig {
   void BuildFanOut(int sinks, double pool_joules) {
     Reserve* pool = NewReserve("pool");
     pool->Deposit(ToQuantity(Energy::Joules(pool_joules)));
+    Bridge(pool);
     for (int i = 0; i < sinks; ++i) {
       Reserve* s = NewReserve("sink" + std::to_string(i));
       Tap* t = NewTap(pool->id(), s->id(), "t" + std::to_string(i));
@@ -140,19 +151,20 @@ void ExpectIdenticalState(Rig& want, Rig& got, const std::string& label) {
   const auto& got_reserves = got.kernel.ObjectsOfType(ObjectType::kReserve);
   ASSERT_EQ(want_reserves.size(), got_reserves.size());
   for (size_t i = 0; i < want_reserves.size(); ++i) {
-    ASSERT_EQ(want_reserves[i], got_reserves[i]);
     const Reserve* rw = want.kernel.LookupTyped<Reserve>(want_reserves[i]);
     const Reserve* rg = got.kernel.LookupTyped<Reserve>(got_reserves[i]);
+    ASSERT_EQ(rw->name(), rg->name());
     EXPECT_EQ(rw->level(), rg->level()) << rw->name();
     EXPECT_EQ(rw->total_deposited(), rg->total_deposited()) << rw->name();
     EXPECT_TRUE(rw->decay_carry() == rg->decay_carry()) << rw->name();
   }
-  const auto& want_taps = want.kernel.ObjectsOfType(ObjectType::kTap);
-  const auto& got_taps = got.kernel.ObjectsOfType(ObjectType::kTap);
+  const std::vector<ObjectId> want_taps = RegisteredTaps(want.kernel, *want.engine);
+  const std::vector<ObjectId> got_taps = RegisteredTaps(got.kernel, *got.engine);
   ASSERT_EQ(want_taps.size(), got_taps.size());
   for (size_t i = 0; i < want_taps.size(); ++i) {
     const Tap* tw = want.kernel.LookupTyped<Tap>(want_taps[i]);
     const Tap* tg = got.kernel.LookupTyped<Tap>(got_taps[i]);
+    ASSERT_EQ(tw->name(), tg->name());
     EXPECT_EQ(tw->total_transferred(), tg->total_transferred()) << tw->name();
     EXPECT_TRUE(tw->carry() == tg->carry()) << tw->name();
   }
@@ -162,7 +174,7 @@ void ExpectIdenticalState(Rig& want, Rig& got, const std::string& label) {
 
 // Unconstrained single-group mega-shard: 96 taps off one rich pool, split
 // into 4 ranges the one group straddles. Every worker count — including the
-// serial in-caller ticket loop — must match the *unsharded* engine exactly.
+// serial in-caller ticket loop — must match the whole shard exactly.
 TEST(ShardSplitTest, UnconstrainedFanOutMatchesUnsplitAtAnyWorkerCount) {
   Rig unsplit;
   unsplit.BuildFanOut(96, 20000.0);
@@ -175,7 +187,7 @@ TEST(ShardSplitTest, UnconstrainedFanOutMatchesUnsplitAtAnyWorkerCount) {
       execs.push_back(std::make_unique<ShardExecutor>(workers));
       exec = execs.back().get();
     }
-    Rig split(exec, /*sharded=*/true, /*split_min=*/16, /*split_ranges=*/4);
+    Rig split(exec, /*split_min=*/16, /*split_ranges=*/4);
     split.BuildFanOut(96, 20000.0);
     split.RunBatches(2000);
     // The shard must actually have run split — a silent fallback to the
@@ -190,7 +202,7 @@ TEST(ShardSplitTest, UnconstrainedFanOutMatchesUnsplitAtAnyWorkerCount) {
 // range-order-reduced demand total. The reference is the serial split engine;
 // every pool size must reproduce it bit for bit.
 TEST(ShardSplitTest, ConstrainedMegaGroupBitIdenticalAcrossWorkerCounts) {
-  Rig reference(nullptr, /*sharded=*/true, /*split_min=*/16, /*split_ranges=*/4);
+  Rig reference(nullptr, /*split_min=*/16, /*split_ranges=*/4);
   reference.BuildFanOut(96, 0.004);
   reference.RunBatches(3000);
   ASSERT_EQ(reference.engine->shard_stats()[reference.BiggestShard()].ranges, 4u);
@@ -199,7 +211,7 @@ TEST(ShardSplitTest, ConstrainedMegaGroupBitIdenticalAcrossWorkerCounts) {
 
   for (int workers : {2, 4, 8}) {
     ShardExecutor exec(workers);
-    Rig split(&exec, /*sharded=*/true, /*split_min=*/16, /*split_ranges=*/4);
+    Rig split(&exec, /*split_min=*/16, /*split_ranges=*/4);
     split.BuildFanOut(96, 0.004);
     split.RunBatches(3000);
     ExpectIdenticalState(reference, split, "workers=" + std::to_string(workers));
@@ -216,23 +228,115 @@ TEST(ShardSplitTest, MixedForestBitIdenticalAcrossWorkerCounts) {
       r.engine->RunBatch(Duration::Micros(1000 + 7919 * (i % 13)));
     }
   };
-  Rig reference(nullptr, /*sharded=*/true, /*split_min=*/8, /*split_ranges=*/8);
+  Rig reference(nullptr, /*split_min=*/8, /*split_ranges=*/8);
   reference.BuildForest(16, 6);
   run(reference);
   ASSERT_GT(reference.engine->shard_stats()[reference.BiggestShard()].ranges, 1u);
 
   for (int workers : {2, 4, 8}) {
     ShardExecutor exec(workers);
-    Rig split(&exec, /*sharded=*/true, /*split_min=*/8, /*split_ranges=*/8);
+    Rig split(&exec, /*split_min=*/8, /*split_ranges=*/8);
     split.BuildForest(16, 6);
     run(split);
     ExpectIdenticalState(reference, split, "workers=" + std::to_string(workers));
   }
 }
 
+// One split shard mixing both kinds of group: a rich hub feeds 64 sinks and
+// a small pool, and the pool feeds 64 drains that want far more than it
+// holds. Creation alternates hub and pool taps, so every range holds both
+// groups. The hub's group is unconstrained: pass-2 ranges run its entries
+// and mark them run. The pool's group is constrained: the ordered finalize
+// runs the shard's tail. After every batch the hub group must match the
+// whole-shard run bit for bit (an entry that ran in a range and again in
+// the finalize would move twice), the component must conserve to the nJ
+// with decay off, and the pool must never go negative.
+TEST(ShardSplitTest, MixedConstrainedAndUnconstrainedGroupsInOneSplitShard) {
+  struct Ids {
+    ObjectId hub = kInvalidObjectId;
+    ObjectId pool = kInvalidObjectId;
+    std::vector<ObjectId> hub_taps;   // The feed, then the sink taps.
+    std::vector<ObjectId> sinks;
+    std::vector<ObjectId> pool_taps;
+  };
+  auto build = [](Rig& r) {
+    r.engine->decay().enabled = false;
+    Ids ids;
+    Reserve* hub = r.NewReserve("hub");
+    hub->Deposit(ToQuantity(Energy::Joules(40000.0)));
+    Reserve* pool = r.NewReserve("pool");
+    pool->Deposit(ToQuantity(Energy::Millijoules(2)));
+    ids.hub = hub->id();
+    ids.pool = pool->id();
+    Tap* feed = r.NewTap(hub->id(), pool->id(), "feed");
+    feed->SetConstantPower(Power::Milliwatts(20));
+    ids.hub_taps.push_back(feed->id());
+    for (int i = 0; i < 64; ++i) {
+      Reserve* sink = r.NewReserve("sink" + std::to_string(i));
+      Tap* t = r.NewTap(hub->id(), sink->id(), "h" + std::to_string(i));
+      t->SetConstantPower(Power::Milliwatts(1 + (i * 7) % 13));
+      ids.hub_taps.push_back(t->id());
+      ids.sinks.push_back(sink->id());
+      Reserve* drain = r.NewReserve("drain" + std::to_string(i));
+      Tap* d = r.NewTap(pool->id(), drain->id(), "p" + std::to_string(i));
+      d->SetConstantPower(Power::Milliwatts(2 + i % 5));
+      ids.pool_taps.push_back(d->id());
+    }
+    return ids;
+  };
+  auto level = [](Rig& r, ObjectId id) { return r.kernel.LookupTyped<Reserve>(id)->level(); };
+  auto total = [](Rig& r) {
+    Quantity sum = 0;
+    for (ObjectId id : r.kernel.ObjectsOfType(ObjectType::kReserve)) {
+      sum += r.kernel.LookupTyped<Reserve>(id)->level();
+    }
+    return sum;
+  };
+
+  for (int workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::unique_ptr<ShardExecutor> exec;
+    if (workers > 0) {
+      exec = std::make_unique<ShardExecutor>(workers);
+    }
+    Rig whole;
+    const Ids w = build(whole);
+    Rig split(exec.get(), /*split_min=*/16, /*split_ranges=*/4);
+    const Ids g = build(split);
+    const Quantity opening = total(split);
+    for (int b = 0; b < 300; ++b) {
+      const Duration dt = Duration::Micros(4000 + 997 * (b % 11));
+      whole.engine->RunBatch(dt);
+      split.engine->RunBatch(dt);
+      ASSERT_EQ(split.engine->shard_stats()[split.BiggestShard()].ranges, 4u);
+      ASSERT_EQ(level(whole, w.hub), level(split, g.hub)) << "batch " << b;
+      for (size_t i = 0; i < w.hub_taps.size(); ++i) {
+        const Tap* tw = whole.kernel.LookupTyped<Tap>(w.hub_taps[i]);
+        const Tap* tg = split.kernel.LookupTyped<Tap>(g.hub_taps[i]);
+        ASSERT_EQ(tw->total_transferred(), tg->total_transferred())
+            << tw->name() << " batch " << b;
+        ASSERT_TRUE(tw->carry() == tg->carry()) << tw->name() << " batch " << b;
+      }
+      for (size_t i = 0; i < w.sinks.size(); ++i) {
+        ASSERT_EQ(level(whole, w.sinks[i]), level(split, g.sinks[i])) << "batch " << b;
+      }
+      ASSERT_EQ(total(split), opening) << "batch " << b;
+      ASSERT_GE(level(split, g.pool), 0) << "batch " << b;
+    }
+    // The pool's group really was constrained: its drains got well under
+    // what they asked for.
+    Quantity drained = 0;
+    for (ObjectId id : g.pool_taps) {
+      drained += split.kernel.LookupTyped<Tap>(id)->total_transferred();
+    }
+    EXPECT_GT(drained, 0);
+    EXPECT_LT(drained, ToQuantity(Energy::Joules(0.1)));
+  }
+}
+
 // Degenerate geometry: 9 entries split 8 ways gives ranges of size one with
 // an uneven tail, and the snap window pushes boundaries around 2-entry
-// groups. Unconstrained, so the unsharded engine is again the exact oracle.
+// groups. Unconstrained, so the whole shard is again the exact oracle.
 TEST(ShardSplitTest, RangesOfSizeOneMatchUnsplit) {
   auto build = [](Rig& r) {
     Reserve* pool = r.NewReserve("pool");
@@ -260,7 +364,7 @@ TEST(ShardSplitTest, RangesOfSizeOneMatchUnsplit) {
     if (workers > 0) {
       exec = std::make_unique<ShardExecutor>(workers);
     }
-    Rig split(exec.get(), /*sharded=*/true, /*split_min=*/2, /*split_ranges=*/8);
+    Rig split(exec.get(), /*split_min=*/2, /*split_ranges=*/8);
     build(split);
     split.RunBatches(1500);
     EXPECT_GT(split.engine->shard_stats()[split.BiggestShard()].ranges, 1u);
@@ -270,7 +374,8 @@ TEST(ShardSplitTest, RangesOfSizeOneMatchUnsplit) {
 
 // The threshold is per shard: in a fleet with one giant component and several
 // small ones, only the giant splits, and the whole fleet still matches the
-// unsharded engine exactly (everything is kept unconstrained).
+// same fleet run as one whole shard exactly (everything is kept
+// unconstrained).
 TEST(ShardSplitTest, ThresholdSplitsOnlyOversizedShards) {
   auto build = [](Rig& r) {
     r.BuildFanOut(64, 9000.0);  // The giant.
@@ -278,6 +383,7 @@ TEST(ShardSplitTest, ThresholdSplitsOnlyOversizedShards) {
       const std::string prefix = "phone" + std::to_string(p);
       Reserve* pool = r.NewReserve(prefix + "/pool");
       pool->Deposit(ToQuantity(Energy::Joules(200.0)));
+      r.Bridge(pool);
       for (int i = 0; i < 4; ++i) {
         Reserve* app = r.NewReserve(prefix + "/app" + std::to_string(i));
         r.NewTap(pool->id(), app->id(), prefix + "/t" + std::to_string(i))
@@ -285,12 +391,13 @@ TEST(ShardSplitTest, ThresholdSplitsOnlyOversizedShards) {
       }
     }
   };
-  Rig unsplit;
+  Rig unsplit(nullptr, /*split_min=*/0, /*split_ranges=*/8, /*one_shard_reference=*/true);
   build(unsplit);
   unsplit.RunBatches(1200);
+  ASSERT_EQ(unsplit.engine->shard_count(), 1u);
 
   ShardExecutor exec(4);
-  Rig split(&exec, /*sharded=*/true, /*split_min=*/32, /*split_ranges=*/4);
+  Rig split(&exec, /*split_min=*/32, /*split_ranges=*/4);
   build(split);
   split.RunBatches(1200);
 
@@ -330,8 +437,8 @@ TEST(ShardSplitTest, MidRunMutationRecomputesSplits) {
   };
 
   ShardExecutor exec(4);
-  Rig reference(nullptr, /*sharded=*/true, /*split_min=*/32, /*split_ranges=*/4);
-  Rig split(&exec, /*sharded=*/true, /*split_min=*/32, /*split_ranges=*/4);
+  Rig reference(nullptr, /*split_min=*/32, /*split_ranges=*/4);
+  Rig split(&exec, /*split_min=*/32, /*split_ranges=*/4);
   for (Rig* r : {&reference, &split}) {
     r->BuildFanOut(16, 9000.0);
   }
@@ -354,7 +461,7 @@ TEST(ShardSplitTest, MidRunMutationRecomputesSplits) {
 }
 
 // Splitting off (threshold 0 or ranges < 2) must leave the PR-3 whole-shard
-// path byte-for-byte: ranges stays 1 and the unsharded golden holds.
+// path byte-for-byte: ranges stays 1 and the whole-shard golden holds.
 TEST(ShardSplitTest, SplitDisabledKeepsWholeShardPath) {
   Rig unsplit;
   unsplit.BuildFanOut(64, 9000.0);
@@ -362,7 +469,7 @@ TEST(ShardSplitTest, SplitDisabledKeepsWholeShardPath) {
   for (uint32_t ranges : {8u, 1u}) {
     ShardExecutor exec(4);
     const uint32_t min_entries = ranges == 1 ? 16 : 0;
-    Rig off(&exec, /*sharded=*/true, min_entries, ranges);
+    Rig off(&exec, min_entries, ranges);
     off.BuildFanOut(64, 9000.0);
     off.RunBatches(800);
     EXPECT_EQ(off.engine->shard_stats()[off.BiggestShard()].ranges, 1u);

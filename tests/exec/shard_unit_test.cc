@@ -2,8 +2,9 @@
 // slices padded only at unit starts. Units decide which thread runs a shard
 // and where its slots sit — never a result bit — so the golden bar is the
 // usual one: a plan mixing many small phones, a one-shard unit, a range-split
-// fan-out and a deep chain stays bit-identical to the plain unsharded engine
-// at every worker count, through churn that moves the unit boundaries.
+// fan-out and a deep chain stays bit-identical to the same reserves and taps
+// run as one whole shard at every worker count, through churn that moves the
+// unit boundaries.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,23 +15,28 @@
 #include "src/exec/shard_executor.h"
 #include "src/telemetry/trace_domain.h"
 #include "src/telemetry/trace_reader.h"
+#include "tests/exec/one_shard_reference.h"
 
 namespace cinder {
 namespace {
 
 constexpr uint32_t kSplitMin = 1536;
 
-// One kernel + engine. sharded=false is the plain unsharded reference;
-// sharded=true with a null executor runs the tickets serially in the caller.
-// The builders are deterministic, so two rigs fed the same calls hold
-// object-for-object identical state.
+// One kernel + engine; a null executor runs the tickets serially in the
+// caller. `one_shard` is the reference: a bridge from the battery to every
+// component's first reserve joins the whole plan into one shard
+// (tests/exec/one_shard_reference.h), and the split is off, so it runs
+// whole. The builders are deterministic, so two rigs fed the same calls hold
+// the same reserves and registered taps.
 struct Rig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
   ObjectId battery = kInvalidObjectId;
   std::vector<std::vector<ObjectId>> phones;  // Taps first, then reserves.
+  bool one_shard = false;
 
-  explicit Rig(ShardExecutor* executor = nullptr, bool sharded = false) {
+  explicit Rig(ShardExecutor* executor = nullptr, bool one_shard_reference = false)
+      : one_shard(one_shard_reference) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
     b->Deposit(ToQuantity(Energy::Joules(50000.0)));
@@ -38,9 +44,14 @@ struct Rig {
     engine = std::make_unique<TapEngine>(&kernel, battery);
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(30);
-    engine->split().min_entries = kSplitMin;
-    if (sharded) {
-      engine->EnableSharding(executor);
+    engine->split().min_entries = one_shard ? 0 : kSplitMin;
+    engine->set_executor(executor);
+  }
+
+  // Joins `r`'s component to the battery's in the one-shard reference.
+  void Bridge(const Reserve* r) {
+    if (one_shard) {
+      BridgeReserve(kernel, battery, *r);
     }
   }
 
@@ -61,6 +72,7 @@ struct Rig {
     const std::string prefix = "phone" + std::to_string(p);
     Reserve* pool = NewReserve(prefix + "/pool");
     pool->Deposit(ToQuantity(Energy::Joules(p % 7 == 0 ? 0.0004 : 20.0 + p % 13)));
+    Bridge(pool);
     Reserve* fg = NewReserve(prefix + "/fg");
     Reserve* bg = NewReserve(prefix + "/bg");
     std::vector<ObjectId> ids;
@@ -94,6 +106,7 @@ struct Rig {
   void AddStar(const std::string& name, int leaves) {
     Reserve* hub = NewReserve(name + "/hub");
     hub->Deposit(ToQuantity(Energy::Joules(9000.0)));
+    Bridge(hub);
     for (int i = 0; i < leaves; ++i) {
       Reserve* leaf = NewReserve(name + "/s" + std::to_string(i));
       NewTap(hub->id(), leaf->id(), name + "/t" + std::to_string(i))
@@ -106,6 +119,7 @@ struct Rig {
   void AddChain(int depth) {
     Reserve* prev = NewReserve("chain/head");
     prev->Deposit(ToQuantity(Energy::Joules(4000.0)));
+    Bridge(prev);
     for (int i = 0; i < depth; ++i) {
       Reserve* n = NewReserve("chain/n" + std::to_string(i));
       n->Deposit(ToQuantity(Energy::Joules(3.0 + (i % 7))));
@@ -158,20 +172,21 @@ void ExpectIdenticalState(Rig& want, Rig& got, const std::string& label) {
   const auto& got_reserves = got.kernel.ObjectsOfType(ObjectType::kReserve);
   ASSERT_EQ(want_reserves.size(), got_reserves.size());
   for (size_t i = 0; i < want_reserves.size(); ++i) {
-    ASSERT_EQ(want_reserves[i], got_reserves[i]);
     const Reserve* rw = want.kernel.LookupTyped<Reserve>(want_reserves[i]);
     const Reserve* rg = got.kernel.LookupTyped<Reserve>(got_reserves[i]);
+    ASSERT_EQ(rw->name(), rg->name());
     ASSERT_EQ(rw->level(), rg->level()) << rw->name();
     ASSERT_EQ(rw->total_deposited(), rg->total_deposited()) << rw->name();
     ASSERT_EQ(rw->total_consumed(), rg->total_consumed()) << rw->name();
     ASSERT_TRUE(rw->decay_carry() == rg->decay_carry()) << rw->name();
   }
-  const auto& want_taps = want.kernel.ObjectsOfType(ObjectType::kTap);
-  const auto& got_taps = got.kernel.ObjectsOfType(ObjectType::kTap);
+  const std::vector<ObjectId> want_taps = RegisteredTaps(want.kernel, *want.engine);
+  const std::vector<ObjectId> got_taps = RegisteredTaps(got.kernel, *got.engine);
   ASSERT_EQ(want_taps.size(), got_taps.size());
   for (size_t i = 0; i < want_taps.size(); ++i) {
     const Tap* tw = want.kernel.LookupTyped<Tap>(want_taps[i]);
     const Tap* tg = got.kernel.LookupTyped<Tap>(got_taps[i]);
+    ASSERT_EQ(tw->name(), tg->name());
     ASSERT_EQ(tw->total_transferred(), tg->total_transferred()) << tw->name();
     ASSERT_TRUE(tw->carry() == tg->carry()) << tw->name();
   }
@@ -191,14 +206,16 @@ void Churn(Rig& r, int round) {
   }
 }
 
-TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
-  Rig reference;
+TEST(ShardUnitTest, GoldenPlanMatchesOneShardThroughChurn) {
+  Rig reference(nullptr, /*one_shard_reference=*/true);
   reference.BuildGoldenPlan();
   reference.RunBatches(150);
   Churn(reference, 0);
   reference.RunBatches(150);
   Churn(reference, 1);
   reference.RunBatches(150);
+  ASSERT_EQ(reference.engine->shard_count(), 1u);
+  ASSERT_EQ(reference.engine->shard_stats()[0].ranges, 1u);
 
   std::vector<std::unique_ptr<ShardExecutor>> execs;
   for (int workers : {0, 1, 2, 4, 8}) {
@@ -208,7 +225,7 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
       exec = execs.back().get();
     }
     const std::string label = "workers=" + std::to_string(workers);
-    Rig rig(exec, /*sharded=*/true);
+    Rig rig(exec);
     rig.BuildGoldenPlan();
     rig.RunBatches(150);
     // The plan really mixes every unit kind: many-phone units, the big star
@@ -250,7 +267,7 @@ TEST(ShardUnitTest, GoldenPlanMatchesUnshardedThroughChurn) {
 }
 
 TEST(ShardUnitTest, UnitsCloseAtTheEntryThresholdAndBigShardsStandAlone) {
-  Rig rig(nullptr, /*sharded=*/true);
+  Rig rig;
   // A phone weighs 3 edges + 3 reserves = 6, so a unit closes after 171
   // phones (1026 >= kUnitEntries).
   static_assert(TapEngine::kUnitEntries == 1024, "the layout below assumes 1024");
@@ -274,7 +291,7 @@ TEST(ShardUnitTest, ExecutorOrderIsLargestUnitFirst) {
   TelemetryConfig cfg;
   cfg.enabled = true;
   TraceDomain domain(cfg);
-  Rig rig(nullptr, /*sharded=*/true);
+  Rig rig;
   rig.engine->set_telemetry(&domain);
   for (int p = 0; p < 200; ++p) {
     rig.AddPhone(p * 10 + 1);

@@ -167,7 +167,7 @@ struct Side {
       engine = std::make_unique<TapEngine>(&kernel, battery);
       engine->decay().enabled = true;
       engine->decay().half_life = Duration::Seconds(45);
-      engine->EnableSharding(executor);
+      engine->set_executor(executor);
     } else {
       reference = std::make_unique<ReferenceFlows>(&kernel, battery);
       reference->decay().enabled = true;

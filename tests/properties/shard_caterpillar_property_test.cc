@@ -3,12 +3,13 @@
 // back-taps that close small cycles, random charge so constrained groups
 // appear unpredictably — run sharded at several worker counts, through
 // mid-run create/delete churn, conserving every nanojoule across every run
-// segment. Run as one whole shard they must stay bit-identical to the plain
-// unsharded engine. Range-split, they must stay bit-identical to the same
-// split run serially in the caller: the split re-associates constrained
-// groups' demand, so the split config is part of the result
-// (docs/PERFORMANCE.md, "The reduction-order contract") and the unsplit
-// engine is not its reference.
+// segment. Run whole, they must stay bit-identical to the same graph run as
+// one whole shard (the components joined by bridge taps the engine never
+// registers). Range-split, they must stay bit-identical to the same split
+// run serially in the caller: the split re-associates constrained groups'
+// demand, so the split config is part of the result (docs/PERFORMANCE.md,
+// "The reduction-order contract") and the unsplit run is not its
+// reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +19,7 @@
 #include "src/base/rng.h"
 #include "src/core/tap_engine.h"
 #include "src/exec/shard_executor.h"
+#include "tests/exec/one_shard_reference.h"
 
 namespace cinder {
 namespace {
@@ -29,33 +31,44 @@ constexpr uint32_t kSplitRanges = 4;
 struct CaterpillarRig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
+  ObjectId battery = kInvalidObjectId;
+  bool one_shard = false;
 
-  // split_min 0 keeps every component a whole shard.
-  CaterpillarRig(ShardExecutor* executor, bool sharded, uint32_t split_min) {
+  // split_min 0 keeps every component a whole shard. `one_shard` bridges
+  // the battery to every reserve NewReserve makes, so the whole graph stays
+  // one shard however churn cuts it (tests/exec/one_shard_reference.h).
+  CaterpillarRig(ShardExecutor* executor, uint32_t split_min, bool one_shard_reference = false)
+      : one_shard(one_shard_reference) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
     b->Deposit(ToQuantity(Energy::Joules(20000.0)));
-    engine = std::make_unique<TapEngine>(&kernel, b->id());
+    battery = b->id();
+    engine = std::make_unique<TapEngine>(&kernel, battery);
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(45);
     engine->split().min_entries = split_min;
     engine->split().ranges = kSplitRanges;
-    if (sharded) {
-      engine->EnableSharding(executor);
+    engine->set_executor(executor);
+  }
+
+  Reserve* NewReserve(const std::string& name) {
+    Reserve* r = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), name);
+    if (one_shard) {
+      BridgeReserve(kernel, battery, *r);
     }
+    return r;
   }
 
   // Every stochastic choice comes from a fresh Rng(seed), so two rigs built
-  // with the same seed are object-for-object identical.
+  // with the same seed hold the same reserves and registered taps.
   void Build(uint64_t seed) {
     Rng rng(seed);
-    Reserve* head = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "head");
+    Reserve* head = NewReserve("head");
     head->Deposit(ToQuantity(Energy::Joules(2000.0)));
     std::vector<Reserve*> spine{head};
     const int depth = 24 + static_cast<int>(rng.UniformU64(64));
     for (int i = 0; i < depth; ++i) {
-      Reserve* n = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1),
-                                          "n" + std::to_string(i));
+      Reserve* n = NewReserve("n" + std::to_string(i));
       if (rng.Bernoulli(0.7)) {
         n->Deposit(static_cast<Quantity>(rng.UniformU64(4000000000)));
       }
@@ -63,8 +76,7 @@ struct CaterpillarRig {
       // Leaf taps make the spine a caterpillar; short back-taps close small
       // cycles whose edges are not bridges.
       if (rng.Bernoulli(0.25)) {
-        Reserve* leaf = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1),
-                                               "l" + std::to_string(i));
+        Reserve* leaf = NewReserve("l" + std::to_string(i));
         AddTap(n->id(), leaf->id(), "lt" + std::to_string(i), rng);
       }
       if (rng.Bernoulli(0.1) && spine.size() >= 3) {
@@ -73,12 +85,11 @@ struct CaterpillarRig {
       spine.push_back(n);
     }
     // A second small component so the spine is not the whole world.
-    Reserve* pool = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "pool");
+    Reserve* pool = NewReserve("pool");
     pool->Deposit(static_cast<Quantity>(rng.UniformU64(3000000000)));
     const int n_apps = 2 + static_cast<int>(rng.UniformU64(4));
     for (int i = 0; i < n_apps; ++i) {
-      Reserve* app = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1),
-                                            "app" + std::to_string(i));
+      Reserve* app = NewReserve("app" + std::to_string(i));
       AddTap(pool->id(), app->id(), "pt" + std::to_string(i), rng);
     }
   }
@@ -102,12 +113,10 @@ struct CaterpillarRig {
     const int n_new = 2 + static_cast<int>(rng.UniformU64(6));
     for (int i = 0; i < n_new; ++i) {
       const ObjectId src = reserves[1 + rng.UniformU64(reserves.size() - 1)];
-      Reserve* leaf = kernel.Create<Reserve>(
-          kernel.root_container_id(), Label(Level::k1),
-          "x" + std::to_string(round) + "_" + std::to_string(i));
+      Reserve* leaf = NewReserve("x" + std::to_string(round) + "_" + std::to_string(i));
       AddTap(src, leaf->id(), "xt" + std::to_string(round) + "_" + std::to_string(i), rng);
     }
-    const auto& taps = kernel.ObjectsOfType(ObjectType::kTap);
+    const std::vector<ObjectId> taps = RegisteredTaps(kernel, *engine);
     const int n_del = static_cast<int>(rng.UniformU64(5));
     std::vector<ObjectId> doomed(taps.end() - std::min<size_t>(n_del, taps.size()), taps.end());
     for (ObjectId id : doomed) {
@@ -130,18 +139,19 @@ void ExpectBitIdentical(CaterpillarRig& want, CaterpillarRig& got, const std::st
   const auto& got_reserves = got.kernel.ObjectsOfType(ObjectType::kReserve);
   ASSERT_EQ(want_reserves.size(), got_reserves.size());
   for (size_t i = 0; i < want_reserves.size(); ++i) {
-    ASSERT_EQ(want_reserves[i], got_reserves[i]);
     const Reserve* rw = want.kernel.LookupTyped<Reserve>(want_reserves[i]);
     const Reserve* rg = got.kernel.LookupTyped<Reserve>(got_reserves[i]);
+    ASSERT_EQ(rw->name(), rg->name());
     EXPECT_EQ(rw->level(), rg->level()) << rw->name();
     EXPECT_TRUE(rw->decay_carry() == rg->decay_carry()) << rw->name();
   }
-  const auto& want_taps = want.kernel.ObjectsOfType(ObjectType::kTap);
-  const auto& got_taps = got.kernel.ObjectsOfType(ObjectType::kTap);
+  const std::vector<ObjectId> want_taps = RegisteredTaps(want.kernel, *want.engine);
+  const std::vector<ObjectId> got_taps = RegisteredTaps(got.kernel, *got.engine);
   ASSERT_EQ(want_taps.size(), got_taps.size());
   for (size_t i = 0; i < want_taps.size(); ++i) {
     const Tap* tw = want.kernel.LookupTyped<Tap>(want_taps[i]);
     const Tap* tg = got.kernel.LookupTyped<Tap>(got_taps[i]);
+    ASSERT_EQ(tw->name(), tg->name());
     EXPECT_EQ(tw->total_transferred(), tg->total_transferred()) << tw->name();
     EXPECT_TRUE(tw->carry() == tg->carry()) << tw->name();
   }
@@ -179,25 +189,33 @@ TEST_P(ShardCaterpillarProperty, RandomCaterpillarsBitIdenticalThroughChurn) {
     }
   };
 
-  CaterpillarRig unsharded(nullptr, /*sharded=*/false, 0);
-  unsharded.Build(seed);
-  drive(unsharded);
-  CaterpillarRig serial_split(nullptr, /*sharded=*/true, kSplitMin);
+  CaterpillarRig one_shard(nullptr, 0, /*one_shard_reference=*/true);
+  one_shard.Build(seed);
+  drive(one_shard);
+  ASSERT_EQ(one_shard.engine->shard_count(), 1u);
+  CaterpillarRig serial_split(nullptr, kSplitMin);
   serial_split.Build(seed);
   drive(serial_split);
 
   std::vector<std::unique_ptr<ShardExecutor>> execs;
-  for (int workers : {1, 4, 8}) {
-    execs.push_back(std::make_unique<ShardExecutor>(workers));
+  for (int workers : {0, 1, 4, 8}) {
+    ShardExecutor* exec = nullptr;
+    if (workers > 0) {
+      execs.push_back(std::make_unique<ShardExecutor>(workers));
+      exec = execs.back().get();
+    }
     const std::string label =
         "seed=" + std::to_string(seed) + " workers=" + std::to_string(workers);
 
-    CaterpillarRig whole(execs.back().get(), /*sharded=*/true, 0);
+    CaterpillarRig whole(exec, 0);
     whole.Build(seed);
     drive(whole);
-    ExpectBitIdentical(unsharded, whole, label + " whole");
+    ExpectBitIdentical(one_shard, whole, label + " whole");
+    if (workers == 0) {
+      continue;  // serial_split is the 0-worker split run.
+    }
 
-    CaterpillarRig split(execs.back().get(), /*sharded=*/true, kSplitMin);
+    CaterpillarRig split(exec, kSplitMin);
     split.Build(seed);
     drive(split);
     // Shard 0 holds the spine (the head is the smallest tapped reserve); it

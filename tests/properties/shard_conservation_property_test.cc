@@ -26,7 +26,7 @@ TEST_P(ShardConservationProperty, RandomShardedGraphsConserveExactly) {
   battery->Deposit(ToQuantity(Energy::Joules(15000.0)));
   ShardExecutor exec(4);
   TapEngine engine(&k, battery->id());
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = (seed % 2) == 0;  // Half the cases include decay.
   engine.decay().half_life = Duration::Seconds(60 + static_cast<int64_t>(rng.UniformU64(600)));
 
@@ -101,7 +101,7 @@ TEST_P(ShardConservationProperty, RangeSplitGraphsConserveExactly) {
   TapEngine engine(&k, battery->id());
   engine.split().min_entries = 8;
   engine.split().ranges = 2 + static_cast<uint32_t>(rng.UniformU64(7));
-  engine.EnableSharding(&exec);
+  engine.set_executor(&exec);
   engine.decay().enabled = (seed % 2) == 0;
   engine.decay().half_life = Duration::Seconds(60 + static_cast<int64_t>(rng.UniformU64(600)));
 

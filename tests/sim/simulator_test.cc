@@ -174,9 +174,10 @@ TEST(SimulatorTest, BatteryReserveTracksBaseline) {
 
 TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
   // SimConfig's split knobs must reach the tap engine — the battery fan-out
-  // below is one component, so a low threshold splits it — and, with demand
-  // far under the battery level, split runs must stay bit-identical to the
-  // unsharded serial engine.
+  // below is one component, so a low threshold splits it at any worker
+  // count, 0 included — and the worker count must not change a bit. With
+  // demand far under the battery level every group is unconstrained, so the
+  // split runs also match the whole shard (threshold 0).
   auto run = [](int workers, uint32_t threshold, uint32_t ranges) {
     SimConfig cfg;
     cfg.decay_enabled = false;
@@ -210,7 +211,7 @@ TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
     return std::pair(levels, any_split);
   };
   auto [serial, serial_split] = run(0, 8, 4);
-  EXPECT_FALSE(serial_split);  // tap_workers = 0: unsharded, nothing splits.
+  EXPECT_TRUE(serial_split);  // tap_workers = 0 splits too, serially.
   auto [split, did_split] = run(2, 8, 4);
   EXPECT_TRUE(did_split);
   EXPECT_EQ(serial, split);
