@@ -274,7 +274,6 @@ void TapEngine::RebuildPlan() {
     ReserveFresh(shard_sink_, shards);
     ReserveFresh(decay_active_, shards);
     ReserveFresh(shard_live_, shards);
-    ReserveFresh(scratch_, shards);
     ReserveFresh(stats_, shards);
   }
   unit_shard_begin_.assign(1, 0);
@@ -314,7 +313,6 @@ void TapEngine::RebuildPlan() {
   IndexGroups(0);
   shard_live_.assign(num_shards_, 1);
   live_shards_ = num_shards_;
-  scratch_.assign(num_shards_, ShardScratch{});
   BuildSplitPlan();
   BuildTicketTables();
 
@@ -330,7 +328,7 @@ void TapEngine::RebuildPlan() {
   // engine's snapshot; bump the epochs so a sibling re-snapshots (its next
   // AttachBank writes our live values back through this bank first) instead
   // of batch-running stale arrays. Engines alternating on one kernel rebuild
-  // every batch — correct, just not the fast path.
+  // every batch — correct, just slower than a batch that reuses its plan.
   kernel_->InvalidateCaches();
   StampPlan();
 }
@@ -462,7 +460,6 @@ bool TapEngine::TryUpdatePlan() {
   shard_group_count_.resize(num_shards_, 0);
   stats_.resize(num_shards_, ShardStats{});
   shard_live_.resize(num_shards_, 1);
-  scratch_.resize(num_shards_, ShardScratch{});
   split_of_shard_.resize(num_shards_, kNoSplit);
   for (uint32_t k = 0; k < added; ++k) {
     FillShard(old_shards + k, resv_order_.data() + resv_begin_[k],
@@ -834,6 +831,7 @@ void TapEngine::BuildTicketTables() {
   tickets_pass1_.clear();
   tickets_pass2_.clear();
   const uint32_t nu = unit_count();
+  unit_totals_.resize(nu);
   unit_order_.resize(nu);
   std::iota(unit_order_.begin(), unit_order_.end(), 0u);
   std::stable_sort(unit_order_.begin(), unit_order_.end(),
@@ -865,17 +863,17 @@ void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_s
   // slot 0), each grown by every record this plan can emit in one batch —
   // any one worker may run every ticket, so no batch can overwrite a record.
   // Only the enabled kinds count: per live shard (appended ones included;
-  // retired ones emit nothing) a kShardBatch and up to two decay-leak
-  // deposits (its sink's and its strays' battery deposit), per ticket a
-  // kDispatch and a timing record. The opt-in per-tap and per-reserve kinds
-  // are not budgeted.
+  // retired ones emit nothing) a kShardBatch and its sink's decay-leak
+  // deposit, the batch's one battery deposit, and per ticket a kDispatch and
+  // a timing record. The opt-in per-tap and per-reserve kinds are not
+  // budgeted.
   const auto tickets = static_cast<uint32_t>(tickets_pass1_.size() + tickets_pass2_.size());
   uint32_t batch_records = 0;
   if (telem_->on(RecordKind::kShardBatch)) {
     batch_records += live_shards_;
   }
   if (telem_->on(RecordKind::kReserveDeposit)) {
-    batch_records += 2 * live_shards_;
+    batch_records += live_shards_ + 1;
   }
   if (telem_->on(RecordKind::kDispatch)) {
     batch_records += tickets;
@@ -944,30 +942,11 @@ void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_s
   }
 }
 
-void TapEngine::EmitSinkDeposit(const Reserve* sink, Quantity amount) {
-  telem_->Emit(RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()), 0,
-               kReserveOpDecayLeak, amount, sink->level());
-}
-
 void TapEngine::RunBatch(Duration dt) {
   if (!dt.IsPositive()) {
     return;
   }
   UpdatePlan();
-  // The batch loops write reserve levels through the state-bank arrays, not
-  // through Reserve's named mutators, so the scheduler's run plan would not
-  // see the movement. Compare the flow totals on exit: a batch that moved
-  // tap or decay flow is an out-of-band level mutation and bumps the kernel
-  // reserve-op epoch; an all-idle batch leaves plans alive across the
-  // boundary. (Sink leak deposits go through Reserve::Deposit and bump on
-  // their own.)
-  const Quantity tap_flow_before = total_tap_flow_;
-  const Quantity decay_flow_before = total_decay_flow_;
-  const auto note_if_flow_moved = [&] {
-    if (total_tap_flow_ != tap_flow_before || total_decay_flow_ != decay_flow_before) {
-      kernel_->NoteReserveOp();
-    }
-  };
   // Publish the batch-wide constants, then run every ticket — concurrently on
   // the executor when one is attached, serially in table order otherwise.
   // Shards touch disjoint reserves/taps, so scheduling cannot change results.
@@ -986,38 +965,19 @@ void TapEngine::RunBatch(Duration dt) {
   telem_taps_ = (tmask & RecordBit(RecordKind::kTapTransfer)) != 0;
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
-  if (num_shards_ == 1 && split_shards_.empty() && shard_live_[0] != 0) {
-    // One-shard plan (a single device, a one-component fleet): its one
-    // unit inline, without the ticket loop and the scratch round trip. The
-    // same work as the general path, whose fixed cost is 18–70% of
-    // BM_TapBatchWithDecay/8 (docs/PERFORMANCE.md, "What units replaced").
-    const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-    const Quantity flow = RunShardTaps(0);
-    const DecayResult dr = decay_.enabled ? DecayShard(0) : DecayResult{};
-    if (telem_shard_batch_ || telem_shard_timing_) {
-      scratch_[0] = ShardScratch{flow, dr};
-      EmitUnitRecords(0, 1, 1, t0);
-    }
-    MergeShard(0, flow, dr);
-    if (telem_on_) {
-      telem_->FlushFrame();
-    }
-    note_if_flow_moved();
-    return;
-  }
   // Phase A runs every pass-1 ticket: one per work unit (its shards' full
-  // batches), plus the demand passes of split shards' ranges. The pool
-  // wakes only for a batch of two or more tickets; a one-ticket batch runs
-  // inline with no executor round-trip at all.
+  // batches, each settled in the unit), plus the demand passes of split
+  // shards' ranges. The pool wakes only for a batch of two or more tickets;
+  // a one-ticket batch runs inline with no executor round-trip at all.
   RunPhase(tickets_pass1_);
   if (!split_shards_.empty()) {
     // Two-phase range-split pipeline. Serial reduce/classify: fold split
     // lanes in range order into the canonical per-group demand and classify
     // each split group. Phase B: the split shards' unconstrained entries,
     // racing only on range-exclusive state. Serial finalize: deferred
-    // effects, the constrained tail and the decay slices, in fixed
-    // shard/range order. The reduction order, not the ticket interleaving,
-    // defines every result bit.
+    // effects, the constrained tail, the decay slice and the settle, in
+    // fixed shard/range order. The reduction order, not the ticket
+    // interleaving, defines every result bit.
     const auto nu = static_cast<uint32_t>(split_shards_.size());
     for (uint32_t u = 0; u < nu; ++u) {
       ReduceSplitDemand(u);
@@ -1027,15 +987,23 @@ void TapEngine::RunBatch(Duration dt) {
       FinalizeSplitShard(u);
     }
   }
-  // Deterministic merge, in shard order: engine totals, per-shard stats, and
-  // the decay leakage each shard banked for its sink (the battery root, or
-  // the shard root when decay_to_shard_root is on). Deferring the deposits
-  // here is what keeps the sink's shard race-free — and it exactly matches
-  // one shard holding everything, where every tap reads the battery before
-  // the decay pass touches it.
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (shard_live_[s] != 0) {
-      MergeShard(s, scratch_[s].tap_flow, scratch_[s].decay);
+  // Fold the unit sums in unit order, then deposit the battery-bound leakage
+  // in one step. Every tap has read the battery before this deposit, exactly
+  // as in one shard holding everything, where the decay pass comes last.
+  UnitTotals batch;
+  for (const UnitTotals& u : unit_totals_) {
+    batch.tap_flow += u.tap_flow;
+    batch.decay_flow += u.decay_flow;
+    batch.battery_leak += u.battery_leak;
+  }
+  total_tap_flow_ += batch.tap_flow;
+  total_decay_flow_ += batch.decay_flow;
+  Reserve* const battery = battery_cache_;
+  if (batch.battery_leak > 0 && battery != nullptr) {
+    battery->Deposit(batch.battery_leak);
+    if (telem_reserve_ops_) {
+      telem_->Emit(RecordKind::kReserveDeposit, static_cast<uint32_t>(battery->id()), 0,
+                   kReserveOpDecayLeak, batch.battery_leak, battery->level());
     }
   }
   // One frame per batch: drain every worker ring into the spill (we are past
@@ -1043,10 +1011,21 @@ void TapEngine::RunBatch(Duration dt) {
   if (telem_on_) {
     telem_->FlushFrame();
   }
-  note_if_flow_moved();
+  // The batch loops write reserve levels through the state-bank arrays, not
+  // through Reserve's named mutators, so the scheduler's run plan would not
+  // see the movement: a batch that moved tap or decay flow (sink credits
+  // included) is an out-of-band level mutation and bumps the kernel
+  // reserve-op epoch; an all-idle batch leaves plans alive across the
+  // boundary.
+  if (batch.tap_flow != 0 || batch.decay_flow != 0) {
+    kernel_->NoteReserveOp();
+  }
 }
 
-void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
+// The serial phase loop and the unit body are forced inline like the pass
+// loops below: a single device's batch is one unit of one tiny shard, where
+// a call frame per level costs what the shard's work does.
+[[gnu::always_inline]] inline void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
   if (executor_ != nullptr) {
     executor_->RunTickets(this, tickets.data(), static_cast<uint32_t>(tickets.size()));
     return;
@@ -1056,73 +1035,64 @@ void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
   }
 }
 
-void TapEngine::RunUnit(uint32_t first, uint32_t count) {
+[[gnu::always_inline]] inline void TapEngine::RunUnit(uint32_t first, uint32_t count) {
   const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
+  // This worker's own ring (single-writer); null when telemetry is off or
+  // the domain has no ring for the slot — then the records are skipped,
+  // never misfiled.
+  const uint32_t slot = telem_on_ ? ShardExecutor::current_worker_slot() : 0;
+  TraceRing* const ring = telem_on_ ? telem_->ring(slot) : nullptr;
+  UnitTotals& totals = unit_totals_[shard_unit_[first]];
+  totals = UnitTotals{};
   uint32_t ran = 0;
   for (uint32_t shard = first; shard < first + count; ++shard) {
     if (shard_live_[shard] == 0) {
       continue;  // Retired by an in-place update.
     }
-    ShardScratch& sc = scratch_[shard];
-    sc.tap_flow = RunShardTaps(shard);
-    sc.decay = decay_.enabled ? DecayShard(shard) : DecayResult{};
+    const Quantity flow = RunShardTaps(shard);
+    SettleShard(shard, flow, decay_.enabled ? DecayShard(shard) : DecayResult{}, totals, ring);
     ++ran;
-  }
-  if (telem_shard_batch_ || telem_shard_timing_) {
-    EmitUnitRecords(first, count, ran, t0);
-  }
-}
-
-void TapEngine::EmitUnitRecords(uint32_t first, uint32_t count, uint32_t ran, int64_t t0) {
-  // This worker's own ring (single-writer); null when the domain has no
-  // ring for the slot — then the records are skipped, never misfiled.
-  const uint32_t slot = ShardExecutor::current_worker_slot();
-  TraceRing* const ring = telem_->ring(slot);
-  if (ring == nullptr) {
-    return;
-  }
-  const int64_t now = telem_->time_us();
-  if (telem_shard_batch_) {
-    for (uint32_t shard = first; shard < first + count; ++shard) {
-      if (shard_live_[shard] != 0) {
-        ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, scratch_[shard].tap_flow,
-                   scratch_[shard].decay.flow);
-      }
-    }
   }
   // A unit whose shards all retired ran nothing: no timing record (a v1 of
   // 0 reads as one shard-batch).
-  if (telem_shard_timing_ && ran > 0) {
-    ring->Emit(now, RecordKind::kShardTiming, first, static_cast<uint16_t>(slot), 0,
+  if (telem_shard_timing_ && ran > 0 && ring != nullptr) {
+    ring->Emit(telem_->time_us(), RecordKind::kShardTiming, first, static_cast<uint16_t>(slot), 0,
                NowNs() - t0, ran);
   }
 }
 
-inline void TapEngine::MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay) {
-  total_tap_flow_ += tap_flow;
-  total_decay_flow_ += decay.flow;
+[[gnu::always_inline]] inline void TapEngine::SettleShard(uint32_t shard, Quantity tap_flow,
+                                                          const DecayResult& decay,
+                                                          UnitTotals& totals, TraceRing* ring) {
   stats_[shard].tap_flow += tap_flow;
   stats_[shard].decay_flow += decay.flow;
-  // The leakage goes to the battery root, or to the shard root when
-  // decay_to_shard_root is on; strays' leakage always to the battery.
-  Reserve* const battery = battery_cache_;
-  if (decay.leak > 0) {
-    Reserve* sink = decay_.to_shard_root ? shard_sink_[shard] : battery;
-    if (sink == nullptr) {
-      sink = battery;
-    }
-    if (sink != nullptr) {
-      sink->Deposit(decay.leak);
-      if (telem_reserve_ops_) {
-        EmitSinkDeposit(sink, decay.leak);
-      }
-    }
+  totals.tap_flow += tap_flow;
+  totals.decay_flow += decay.flow;
+  if (ring != nullptr && telem_shard_batch_) {
+    ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, tap_flow, decay.flow);
   }
-  if (decay.stray > 0 && battery != nullptr) {
-    battery->Deposit(decay.stray);
-    if (telem_reserve_ops_) {
-      EmitSinkDeposit(battery, decay.stray);
-    }
+  // Strays' leakage always goes to the battery; the rest to the shard's
+  // sink when decay_to_shard_root is on and the shard has one. The sink is
+  // one of this shard's reserves, which only this thread writes, and the
+  // credit is the one Reserve::Deposit makes: level, deposited total, and
+  // the decay skip-list re-add when it refills from empty.
+  totals.battery_leak += decay.stray;
+  if (decay.leak <= 0) {
+    return;
+  }
+  const uint32_t sink = decay_.to_shard_root ? shard_sink_slot_[shard] : kNoBankSlot;
+  if (sink == kNoBankSlot) {
+    totals.battery_leak += decay.leak;
+    return;
+  }
+  Quantity* const lvl = rbank_.levels();
+  if (CreditSlot(lvl, rbank_.deposited(), rbank_.flags(), sink, decay.leak)) {
+    decay_active_[shard].push_back(sink);
+  }
+  if (ring != nullptr && telem_reserve_ops_) {
+    ring->Emit(telem_->time_us(), RecordKind::kReserveDeposit,
+               static_cast<uint32_t>(shard_sink_[shard]->id()), 0, kReserveOpDecayLeak,
+               decay.leak, lvl[sink]);
   }
 }
 
@@ -1231,7 +1201,7 @@ Quantity TapEngine::RunShardTaps(uint32_t shard) {
   return OrderedPass2(shard, begin, end, tb);
 }
 
-void TapEngine::RunTicket(const ShardTicket& t) {
+[[gnu::always_inline]] inline void TapEngine::RunTicket(const ShardTicket& t) {
   switch (t.kind) {
     case ShardTicketKind::kUnit:
       RunUnit(t.shard, t.shards);
@@ -1428,14 +1398,13 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
   if (split_slow_entries_[split] > 0) {
     flow += OrderedPass2(shard, bounds[0], bounds[split_k_], shard_want_begin_[shard] - bounds[0]);
   }
-  ShardScratch& sc = scratch_[shard];
-  sc.tap_flow = flow;
-  sc.decay = decay_.enabled ? DecayShard(shard) : DecayResult{};
-  // The kShardBatch record, written on the (serial) finalize thread; the
-  // shard's per-range work is timed by kRangeTiming, so it counts no run.
-  if (telem_shard_batch_) {
-    EmitUnitRecords(shard, 1, /*ran=*/0, 0);
-  }
+  // The shard is a unit of its own; it settles on the (serial) finalize
+  // thread. Its per-range work is timed by kRangeTiming, so the unit writes
+  // no kShardTiming.
+  UnitTotals& totals = unit_totals_[shard_unit_[shard]];
+  totals = UnitTotals{};
+  SettleShard(shard, flow, decay_.enabled ? DecayShard(shard) : DecayResult{}, totals,
+              telem_on_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr);
 }
 
 TapEngine::DecayResult TapEngine::DecayShard(uint32_t shard) {

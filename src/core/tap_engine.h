@@ -18,11 +18,14 @@
 // every shard's two tap passes and decay slice, back to back — serially in
 // the caller, or on a ShardExecutor worker pool (largest unit first, so one
 // giant component never serializes the tail of a batch). A shard the range
-// split subdivides is a unit of its own. Cross-shard state (flow totals,
-// decay leakage into the battery root or the per-shard sinks) is
-// accumulated per shard and merged after the batch in shard order, so
-// results are the same bits for any worker count or unit layout, and equal
-// to the same reserves and taps run as one shard.
+// split subdivides is a unit of its own. A unit settles each shard right
+// after its decay slice: the leakage into the shard's own sink (decay
+// to_shard_root) lands there at once, and the shard's flows and its
+// battery-bound leakage are summed per unit. After the batch the unit sums
+// fold in unit order into the engine totals and one battery deposit, which
+// leaves the battery at the same level as per-shard deposits would (they are
+// integer adds). So results are the same bits for any worker count or unit
+// layout, and equal to the same reserves and taps run as one shard.
 //
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
@@ -65,6 +68,7 @@ namespace cinder {
 class ShardExecutor;
 class ShardPartitioner;
 class TraceDomain;
+class TraceRing;
 
 // Intra-shard range split: a component whose plan section has at least
 // `min_entries` entries (or whose partitioner-reported edge count reaches it)
@@ -228,14 +232,15 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
 
   struct DecayResult {
     Quantity flow = 0;
-    Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
+    Quantity leak = 0;   // flow minus stray: for the battery root / shard sink.
     Quantity stray = 0;  // Stray reserves' leakage: always the battery.
   };
-  // Per-shard batch accumulators, merged (in shard order) after the parallel
-  // phase. Cache-line sized so concurrent shards never false-share.
-  struct alignas(64) ShardScratch {
+  // Per-unit batch sums, folded in unit order after the phases. Cache-line
+  // sized so concurrent units never false-share.
+  struct alignas(64) UnitTotals {
     Quantity tap_flow = 0;
-    DecayResult decay;
+    Quantity decay_flow = 0;
+    Quantity battery_leak = 0;  // Leakage bound for the battery root.
   };
 
   bool PlanIsCurrent() const {
@@ -300,17 +305,17 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // Runs one phase's tickets: on the executor when there is one (it runs a
   // single ticket, or a one-worker pool, inline), else serially in order.
   void RunPhase(const std::vector<ShardTicket>& tickets);
-  // The shards [first, first + count) of one unit, back to back (tap
-  // passes and decay slice, results banked in each shard's scratch), then
-  // its records: one kShardBatch per live shard and one kShardTiming for
-  // the unit (timed from `t0`, counting the `ran` live shards; none when
-  // `ran` is 0: every shard of the unit retired, or a split shard's
-  // finalize, whose passes kRangeTiming times).
+  // The live shards [first, first + count) of one unit, back to back: tap
+  // passes, decay slice and SettleShard each, into the unit's totals; then
+  // one kShardTiming for the unit when any shard ran (a split shard's passes
+  // are timed by kRangeTiming instead).
   void RunUnit(uint32_t first, uint32_t count);
-  void EmitUnitRecords(uint32_t first, uint32_t count, uint32_t ran, int64_t t0);
-  // Folds one shard's batch results into the engine totals and stats and
-  // makes its decay-leak deposits (main thread, in shard order).
-  void MergeShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay);
+  // Settles one shard's batch on the thread that ran it: its flows into
+  // stats_ and `totals`, its leakage into its own sink (to_shard_root) or
+  // into `totals`' battery share, and its kShardBatch and sink-deposit
+  // records into `ring` (null: no records).
+  void SettleShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay,
+                   UnitTotals& totals, TraceRing* ring);
   // The split execution pipeline (see RunBatch): pass-1 ranges run the
   // shared pass-1 loop into private lanes; a serial range-order reduction
   // folds lanes into the canonical per-group totals and classifies each
@@ -319,7 +324,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // writes and deferred lists, marking each entry they ran skipped; the
   // serial finalize applies every deferred effect in range order, runs the
   // shared ordered pass 2 over the shard (which leaves exactly the
-  // constrained entries), and the shard's decay slice.
+  // constrained entries), the shard's decay slice and its SettleShard.
   void RunPass1Range(uint32_t split, uint32_t range);
   void ReduceSplitDemand(uint32_t split);
   void RunPass2Range(uint32_t split, uint32_t range);
@@ -331,8 +336,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
   void WriteBackBank();
-  // The two tap passes of one shard; returns the flow moved. RunUnit and
-  // the one-shard inline batch compose it with DecayShard.
+  // The two tap passes of one shard; returns the flow moved.
   Quantity RunShardTaps(uint32_t shard);
   // The tap passes' loops, one copy each for whole shards and split ranges.
   // TapPass1 writes the wants of plan entries [begin, end) (per-entry index
@@ -345,13 +349,11 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
                 const uint32_t* demand_slot);
   Quantity OrderedPass2(uint32_t shard, uint32_t begin, uint32_t end, uint32_t tb);
   DecayResult DecayShard(uint32_t shard);
-  // Telemetry cold paths: the plan-time ring sizing and table dump
+  // Telemetry cold path: the plan-time ring sizing and table dump
   // (spill-direct) — kPlanShard rows for every shard (`all`) or only those
   // in changed_shards_, kPlanTap rows from plan entry `first_entry`,
-  // kPlanReserve rows from bank slot `first_slot` — and the merge loop's
-  // sink-deposit records.
+  // kPlanReserve rows from bank slot `first_slot`.
   void EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_slot);
-  void EmitSinkDeposit(const Reserve* sink, Quantity amount);
 
   Kernel* kernel_;
   ObjectId battery_reserve_;
@@ -404,8 +406,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<std::vector<uint32_t>> decay_active_;
   // Per-shard decay sink (DecayConfig::to_shard_root): the smallest-id
   // decay-wired reserve of the shard, resolved at plan build. The pointer is
-  // epoch-valid like battery_cache_; the slot lets DecayShard skip the sink's
-  // own leakage with one compare.
+  // epoch-valid like battery_cache_ and names the sink in its deposit
+  // records; the slot lets DecayShard skip the sink's own leakage with one
+  // compare and SettleShard credit it through the bank.
   std::vector<Reserve*> shard_sink_;
   std::vector<uint32_t> shard_sink_slot_;
   // Work units: unit u covers shards [unit_shard_begin_[u],
@@ -451,7 +454,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<Quantity> deferred_amt_;
   std::vector<uint32_t> pending_slot_;
   // Per-range batch accumulators (flow moved, deferred/pending counts),
-  // cache-line sized like ShardScratch so concurrent ranges never false-share.
+  // cache-line sized like UnitTotals so concurrent ranges never false-share.
   struct alignas(64) RangeScratch {
     Quantity tap_flow = 0;
     uint32_t n_deferred = 0;
@@ -478,7 +481,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> split_dst_first_;
   std::vector<uint8_t> split_dst_shared_;
 
-  std::vector<ShardScratch> scratch_;
+  std::vector<UnitTotals> unit_totals_;  // One per work unit.
   std::vector<ShardStats> stats_;
   Reserve* battery_cache_ = nullptr;
   uint64_t plan_epoch_ = 0;

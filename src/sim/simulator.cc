@@ -40,8 +40,6 @@ Simulator::Simulator(SimConfig config)
   tap_engine_->decay().enabled = config_.decay_enabled;
   tap_engine_->decay().half_life = config_.decay_half_life;
   tap_engine_->decay().to_shard_root = config_.exec.decay_to_shard_root;
-  tap_engine_->split().min_entries = config_.exec.tap_split_threshold;
-  tap_engine_->split().ranges = config_.exec.tap_split_ranges;
   if (config_.exec.tap_workers >= 1) {
     shard_executor_ = std::make_unique<ShardExecutor>(config_.exec.tap_workers);
     tap_engine_->set_executor(shard_executor_.get());

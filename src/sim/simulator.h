@@ -36,16 +36,14 @@
 namespace cinder {
 
 // Tap-batch execution knobs, grouped. Most configure how batches execute,
-// not what they compute; three fields are part of the result's definition:
-// - decay_to_shard_root changes what a batch computes: each shard's leakage
-//   lands in that shard's root reserve instead of the battery.
-// - tap_split_threshold and tap_split_ranges decide which shards split. A
-//   split shard's constrained demand groups re-associate their demand sum
-//   across range boundaries, so they can differ from the whole-shard bits
-//   (docs/PERFORMANCE.md, "The reduction-order contract"); unconstrained
-//   groups match it bit for bit.
-// The worker count never changes a result bit, and sched_plan_quanta never
-// does.
+// not what they compute; decay_to_shard_root is part of the result's
+// definition: each shard's leakage lands in that shard's root reserve
+// instead of the battery. The worker count never changes a result bit, and
+// sched_plan_quanta never does. Which shards range-split is the tap engine's
+// own setting (TapEngine::split(), set before the first batch): a split
+// shard's constrained demand groups re-associate their demand sum across
+// range boundaries, so they can differ from the whole-shard bits
+// (docs/PERFORMANCE.md, "The reduction-order contract").
 struct ExecConfig {
   // The reserve/tap graph is always partitioned into independent shards,
   // one per connected component. 0 runs them serially in the calling thread
@@ -57,13 +55,6 @@ struct ExecConfig {
   // reserve instead of the single battery root — fleet scenarios where each
   // phone's hoarded energy should return to its own pool.
   bool decay_to_shard_root = false;
-  // Intra-shard range splitting: shards whose plan section (or edge count)
-  // reaches the threshold have their tap batch split into `tap_split_ranges`
-  // contiguous ranges that run as independent tickets, with a fixed-order
-  // reduction so flows stay bit-identical at any worker count, 0 included.
-  // Threshold 0 (or ranges < 2) disables splitting.
-  uint32_t tap_split_threshold = 4096;
-  uint32_t tap_split_ranges = 8;
   // K-quanta scheduler run plans: Run/RunUntil may precompute the pick
   // sequence for up to this many quanta at a time and replay it without
   // per-quantum PickNext scans, falling back to the single-quantum path the
@@ -91,8 +82,8 @@ struct SimConfig {
   bool decay_enabled = true;
   Duration decay_half_life = Duration::Minutes(10);
   Duration probe_interval = Duration::Millis(200);
-  // Execution and telemetry are nested configs (PR 7): exec groups the
-  // worker/splitting knobs, telemetry configures the trace domain the
+  // Execution and telemetry are nested configs: exec groups the worker,
+  // decay-sink and scheduler-plan knobs, telemetry configures the trace domain the
   // simulator owns (per-worker rings, record mask, spill).
   ExecConfig exec;
   TelemetryConfig telemetry;

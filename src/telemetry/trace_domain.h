@@ -31,14 +31,8 @@
 namespace cinder {
 
 struct TelemetryConfig {
-  // Compile-time default: -DCINDER_TELEMETRY_DEFAULT_ON (CMake option
-  // CINDER_TELEMETRY_DEFAULT_ON) ships binaries with telemetry on unless a
-  // config turns it off; the stock build defaults off.
-#if defined(CINDER_TELEMETRY_DEFAULT_ON)
-  bool enabled = true;
-#else
+  // Off by default: an embedding records only when its config turns it on.
   bool enabled = false;
-#endif
   // Per-writer ring capacity in bytes (rounded up to a power-of-two record
   // count): 64 KiB = 2048 records. This is the headroom for records written
   // between batches (scheduler picks, CPU charges, syscall reserve ops); the
@@ -128,8 +122,8 @@ class TraceDomain {
   int64_t time_us() const { return time_us_; }
 
   // Mask-checked convenience emit into ring 0 — for cold main-thread call
-  // sites (syscalls, scheduler, batch merges). Hot per-worker paths fetch
-  // their ring once and use TraceRing::Emit directly.
+  // sites (syscalls, scheduler, the batch's battery deposit). Hot per-worker
+  // paths fetch their ring once and use TraceRing::Emit directly.
   void Emit(RecordKind kind, uint32_t actor, uint16_t aux, uint8_t flags, int64_t v0, int64_t v1) {
     if (!on(kind) || rings_.empty()) {
       return;

@@ -278,9 +278,10 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
   EXPECT_GT(engine.total_tap_flow(), 0);
 }
 
-TEST(HotPathAllocTest, TelemetrySingleShardFastPathIsAllocationFree) {
-  // A tiny one-shard plan (one unit, run inline with no pool) with
-  // telemetry on: emit + flush per batch must stay store-only.
+TEST(HotPathAllocTest, TelemetryOneShardPlanIsAllocationFree) {
+  // A tiny one-shard plan (one unit, run serially with no pool, through the
+  // same ticket loop and settle step as a fleet) with telemetry on: emit +
+  // flush per batch must stay store-only.
   Kernel k;
   Reserve* battery = k.Create<Reserve>(
       k.root_container_id(), Label(Level::k1), "battery");

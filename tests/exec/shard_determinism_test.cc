@@ -286,6 +286,55 @@ TEST(ShardDeterminismTest, DecayToShardRootSingleComponentStrayStillLeaksToBatte
             engine.total_decay_flow() - hoard_loss);
 }
 
+// The settle step credits a shard's leakage into its sink the way
+// Reserve::Deposit would, so a sink that refills from empty goes back on its
+// shard's decay list. Once to_shard_root is off, the former sink is an
+// ordinary reserve and must decay toward the battery like any other. The
+// half-life equals the batch, so every batch leaks exactly half.
+TEST(ShardDeterminismTest, SinkRefilledByLeakageDecaysOnceShardRootIsOff) {
+  for (const int workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::unique_ptr<ShardExecutor> exec;
+    Kernel k;
+    Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
+    battery->set_decay_exempt(true);
+    battery->Deposit(1000000);
+    TapEngine engine(&k, battery->id());
+    if (workers > 0) {
+      exec = std::make_unique<ShardExecutor>(workers);
+      engine.set_executor(exec.get());
+    }
+    engine.decay().half_life = Duration::Millis(10);
+    engine.decay().to_shard_root = true;
+    // The sink (the component's smallest id) starts empty, so the plan
+    // leaves it off the decay list; a zero-rate tap joins it to the hoard.
+    Reserve* sink = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "sink");
+    Reserve* hoard = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "hoard");
+    hoard->Deposit(4000);
+    Tap* link =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "link", sink->id(), hoard->id());
+    link->SetConstantPower(Power::Milliwatts(0));
+    ASSERT_TRUE(engine.Register(link->id()));
+
+    engine.RunBatch(Duration::Millis(10));  // The hoard leaks half into the sink.
+    ASSERT_EQ(engine.shard_count(), 1u);
+    EXPECT_EQ(hoard->level(), 2000);
+    EXPECT_EQ(sink->level(), 2000);
+    EXPECT_EQ(battery->level(), 1000000);
+
+    engine.decay().to_shard_root = false;
+    engine.RunBatch(Duration::Millis(10));  // Both leak half to the battery.
+    EXPECT_EQ(hoard->level(), 1000);
+    EXPECT_EQ(sink->level(), 1000);
+    EXPECT_EQ(battery->level(), 1000000 + 2000);
+    engine.RunBatch(Duration::Millis(10));
+    EXPECT_EQ(sink->level(), 500);
+    EXPECT_EQ(battery->level(), 1000000 + 3000);
+    EXPECT_EQ(engine.total_decay_flow(), 2000 + 2000 + 1000);
+    EXPECT_EQ(engine.total_tap_flow(), 0);
+  }
+}
+
 TEST(ShardDeterminismTest, DecayToShardRootOffMatchesOneShardGolden) {
   // The flag's default-off path is the existing guarantee: per-phone shards
   // == one shard bit for bit. Pin it explicitly next to the flag-on test.

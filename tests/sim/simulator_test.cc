@@ -173,18 +173,19 @@ TEST(SimulatorTest, BatteryReserveTracksBaseline) {
 }
 
 TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
-  // SimConfig's split knobs must reach the tap engine — the battery fan-out
-  // below is one component, so a low threshold splits it at any worker
-  // count, 0 included — and the worker count must not change a bit. With
-  // demand far under the battery level every group is unconstrained, so the
-  // split runs also match the whole shard (threshold 0).
+  // The engine's split config, set before the first batch, must take effect
+  // in the live simulator — the battery fan-out below is one component, so
+  // a low threshold splits it at any worker count, 0 included — and the
+  // worker count must not change a bit. With demand far under the battery
+  // level every group is unconstrained, so the split runs also match the
+  // whole shard (threshold 0).
   auto run = [](int workers, uint32_t threshold, uint32_t ranges) {
     SimConfig cfg;
     cfg.decay_enabled = false;
     cfg.exec.tap_workers = workers;
-    cfg.exec.tap_split_threshold = threshold;
-    cfg.exec.tap_split_ranges = ranges;
     Simulator sim(cfg);
+    sim.taps().split().min_entries = threshold;
+    sim.taps().split().ranges = ranges;
     Kernel& k = sim.kernel();
     Thread* boot = sim.boot_thread();
     auto proc = sim.CreateProcess("apps");

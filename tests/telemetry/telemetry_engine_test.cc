@@ -15,6 +15,7 @@
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
 #include "src/sim/thread_body.h"
+#include "src/telemetry/health_monitor.h"
 #include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_reader.h"
 
@@ -187,10 +188,10 @@ TEST(TelemetryEngineTest, SplitShardTimesEveryRangePassLiveAndFromFile) {
     std::vector<TapEngine::ShardStats> stats;
     {
       SimConfig cfg = FleetConfig(workers);
-      cfg.exec.tap_split_threshold = 16;
-      cfg.exec.tap_split_ranges = 4;
       cfg.telemetry.stream_path = path;
       Simulator sim(cfg);
+      sim.taps().split().min_entries = 16;
+      sim.taps().split().ranges = 4;
       sim.telemetry().AddSink(&agg);
       Kernel& kernel = sim.kernel();
       Reserve* pool = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "pool");
@@ -274,22 +275,37 @@ TEST(TelemetryEngineTest, OneUnitFleetRunsInlineWithoutWakingThePool) {
 
 TEST(TelemetryEngineTest, FleetScaleDefaultRingsLoseNothing) {
   // The default 2048-record rings are grown at plan build by the plan's
-  // per-batch record budget, so a 2000-phone fleet (about 6000 engine
+  // per-batch record budget, so a 2000-phone fleet (about 4000 engine
   // records per batch) streams losslessly at any worker count and the live
-  // fold equals the engine bit for bit.
+  // fold equals the engine bit for bit. Each unit writes its shards'
+  // sink-deposit records into its own worker's ring, so the health monitor
+  // must see every window's leak deposits equal its decay flow, and no loss.
   for (int workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     SimConfig cfg = FleetConfig(workers);
     cfg.telemetry.spill_grow = false;
+    HealthMonitor monitor;
     LiveAggregator agg;
+    agg.set_monitor(&monitor);
+    uint64_t windows = 0;
+    int64_t leak_deposits = 0;
+    agg.set_window_callback([&](const WindowStats& w) {
+      ++windows;
+      leak_deposits += w.decay_leak_deposits;
+    });
     Simulator sim(cfg);
     sim.telemetry().AddSink(&agg);
     BuildPhones(sim, 2000);
     sim.Run(Duration::Millis(200));
     sim.telemetry().FlushFrame();
-    EXPECT_EQ(sim.telemetry().ring_dropped(), 0u) << "workers=" << workers;
-    EXPECT_EQ(agg.TotalTapFlow(), sim.taps().total_tap_flow()) << "workers=" << workers;
-    EXPECT_EQ(agg.TotalDecayFlow(), sim.taps().total_decay_flow()) << "workers=" << workers;
+    EXPECT_EQ(sim.telemetry().ring_dropped(), 0u);
+    EXPECT_EQ(agg.TotalTapFlow(), sim.taps().total_tap_flow());
+    EXPECT_EQ(agg.TotalDecayFlow(), sim.taps().total_decay_flow());
     EXPECT_GT(agg.TotalTapFlow(), 0);
+    EXPECT_GT(windows, 0u);
+    EXPECT_GT(leak_deposits, 0) << "the conservation check must have armed";
+    EXPECT_EQ(monitor.count(AlarmKind::kConservationDrift), 0u);
+    EXPECT_EQ(monitor.count(AlarmKind::kRecordLoss), 0u);
     sim.telemetry().RemoveSink(&agg);
   }
 }
@@ -317,9 +333,10 @@ TEST(TelemetryEngineTest, FineGrainedTapFlowsSumToEngineTotal) {
   EXPECT_EQ(per_tap_sum, sim.taps().total_tap_flow());
 }
 
-TEST(TelemetryEngineTest, SingleShardFastPathStillStreamsRecords) {
-  // One phone, no executor: RunBatch takes the tiny-batch fast path; the
-  // stream must stay complete and exact anyway.
+TEST(TelemetryEngineTest, OneShardPlanStreamsRecords) {
+  // One phone, no executor: a one-shard plan runs its one unit through the
+  // same ticket loop and settle step as a fleet; the stream must be
+  // complete and exact.
   SimConfig cfg;
   cfg.telemetry.enabled = true;
   cfg.telemetry.spill_grow = true;

@@ -1,8 +1,9 @@
 // energytrace — offline dump tool for Cinder telemetry trace files.
 //
-// Reads a trace written by TraceDomain::WriteFile (the fleet example's
-// optional 4th argument, or any embedding that calls WriteFile) and prints
-// what the TraceReader can reconstruct: stream summary and kind histogram,
+// Reads a trace file — one streamed live through a FileStreamSink (the
+// fleet example's optional 4th argument, or TelemetryConfig::stream_path in
+// any embedding), or one dumped by TraceDomain::WriteFile — and prints what
+// the TraceReader can reconstruct: stream summary and kind histogram,
 // engine flow totals, per-shard tap/decay attribution, per-shard timelines,
 // worker load balance, per-thread CPU billing, and (when the fine-grained
 // kinds were enabled) per-tap flows.
