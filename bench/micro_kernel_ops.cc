@@ -60,9 +60,8 @@ void BM_ReserveTransferSyscall(benchmark::State& state) {
 }
 BENCHMARK(BM_ReserveTransferSyscall);
 
-// One battery fan-out of `n_taps` taps: a single component, run serially in
-// the caller. At 4096 taps and up it reaches the default split threshold, so
-// those sizes run the range-split pipeline serially.
+// One battery fan-out of `n_taps` taps: a single component, run whole and
+// serially in the caller at every size.
 void BM_TapBatch(benchmark::State& state) {
   const int n_taps = static_cast<int>(state.range(0));
   Kernel k;
@@ -253,52 +252,9 @@ void BM_TapBatchFleet(benchmark::State& state) {
 }
 BENCHMARK(BM_TapBatchFleet)->ArgNames({"phones", "workers"})->Args({2000, 0})->Args({2000, 4});
 
-// The intra-shard range split on a giant single component: one pool fans out
-// to `n_taps` sinks, so shard-level parallelism has exactly one shard to
-// offer and all scaling must come from splitting its plan into ranges.
-// workers=0 runs the shard whole, with splitting disabled (the whole-shard
-// baseline); workers>=1 split into 8 ranges on that many workers (1 = the
-// split pipeline run serially in the caller, isolating the split overhead
-// from pool parallelism, and the cost a 0-worker run of such a component
-// pays under the default split config).
-void BM_TapBatchGiant(benchmark::State& state) {
-  const int n_taps = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  Kernel k;
-  Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
-  battery->set_decay_exempt(true);
-  TapEngine engine(&k, battery->id());
-  engine.decay().enabled = false;
-  if (workers == 0) {
-    engine.split().min_entries = 0;
-  }
-  ShardExecutor exec(workers > 0 ? workers : 1);
-  engine.set_executor(&exec);
-  Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
-  pool->Deposit(INT64_MAX / 2);
-  for (int i = 0; i < n_taps; ++i) {
-    Reserve* r = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "r");
-    Tap* tap = k.Create<Tap>(k.root_container_id(), Label(Level::k1), "t", pool->id(),
-                             r->id());
-    tap->SetConstantPower(Power::Milliwatts(1));
-    engine.Register(tap->id());
-  }
-  for (auto _ : state) {
-    engine.RunBatch(Duration::Millis(10));
-  }
-  state.SetItemsProcessed(state.iterations() * n_taps);
-}
-BENCHMARK(BM_TapBatchGiant)
-    ->ArgNames({"taps", "workers"})
-    ->Args({32768, 0})
-    ->Args({32768, 1})
-    ->Args({32768, 2})
-    ->Args({32768, 4});
-
 // The deep-ladder topology: one chain of `depth` taps is a single component
 // whose plan is thousands of one-entry demand groups with chained
-// destinations, so it runs as one whole-shard work item (range split off:
-// the split sizes by entry count and only slows a chain down). A regression
+// destinations, so it runs as one whole-shard work item. A regression
 // guard for deep components; every node is pre-funded so each batch moves
 // flow along the whole chain.
 void BM_TapBatchChain(benchmark::State& state) {
@@ -308,7 +264,6 @@ void BM_TapBatchChain(benchmark::State& state) {
   battery->set_decay_exempt(true);
   TapEngine engine(&k, battery->id());
   engine.decay().enabled = false;
-  engine.split().min_entries = 0;
   Reserve* prev = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "head");
   prev->Deposit(INT64_MAX / (2 * depth));
   for (int i = 0; i < depth; ++i) {

@@ -11,10 +11,8 @@
 # (bench/compare_bench.py) and exits non-zero if any gated benchmark
 # (BM_TapBatch/512, BM_TapBatch/32768, BM_TapBatchTelemetry/32768,
 # BM_TapBatchFleet/phones:2000 at 0 and 4 workers — the per-shard fixed
-# cost at fleet scale — BM_DecaySparse/{4096,32768}, the giant-component
-# worker-scaling cases
-# BM_TapBatchGiant/taps:32768 at 1/2/4 workers, the whole-shard deep-chain
-# guards BM_TapBatchChain/depth:{1024,8192}, and the scheduler-plan
+# cost at fleet scale — BM_DecaySparse/{4096,32768}, the whole-shard
+# deep-chain guards BM_TapBatchChain/depth:{1024,8192}, and the scheduler-plan
 # cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64} +
 # BM_SimStepStarved/threads:{256,1024} +
 # BM_SimStepStarvedPlansForced/threads:1024, the plan-build cost at scale,
@@ -113,9 +111,6 @@ if [[ -n "$baseline" ]]; then
     --gate 'BM_TapBatchFleet/phones:2000/workers:4' \
     --gate 'BM_DecaySparse/4096' \
     --gate 'BM_DecaySparse/32768' \
-    --gate 'BM_TapBatchGiant/taps:32768/workers:1' \
-    --gate 'BM_TapBatchGiant/taps:32768/workers:2' \
-    --gate 'BM_TapBatchGiant/taps:32768/workers:4' \
     --gate 'BM_TapBatchChain/depth:1024' \
     --gate 'BM_TapBatchChain/depth:8192' \
     --gate 'BM_SchedPick/128' \

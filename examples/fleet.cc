@@ -202,10 +202,9 @@ int main(int argc, char** argv) {
   // reflect real execution interleaving, so — unlike every line above — they
   // vary with the worker count and from run to run.
   for (const auto& w : agg.WorkerLoads()) {
-    std::printf("worker %u: %llu dispatches, %llu shard runs, %llu range runs, busy %.1f ms\n",
-                w.worker, static_cast<unsigned long long>(w.dispatches),
+    std::printf("worker %u: %llu dispatches, %llu shard runs, busy %.1f ms\n", w.worker,
+                static_cast<unsigned long long>(w.dispatches),
                 static_cast<unsigned long long>(w.shard_runs),
-                static_cast<unsigned long long>(w.range_runs),
                 static_cast<double>(w.busy_ns) / 1e6);
   }
 

@@ -50,7 +50,7 @@ namespace bank_internal {
 // too small is freed before the bigger one is taken, so the allocator can
 // reuse it.
 template <typename T>
-T* Align64(std::vector<T>& v, size_t slots, size_t capacity = 0) {
+T* Align64(std::vector<T>& v, size_t slots, size_t capacity) {
   constexpr size_t kPad = 64 / sizeof(T);
   const size_t room = (capacity > slots ? capacity : slots) + kPad;
   if (v.capacity() < room) {
@@ -249,36 +249,6 @@ class TapStateBank {
   QuantityRate* rate_base_ = nullptr;
   double* fraction_base_ = nullptr;
   uint8_t* flags_base_ = nullptr;
-};
-
-// Private accumulator lanes for the intra-shard range split: when a giant
-// component's tap passes run as K contiguous plan-entry ranges, each range
-// owns one slice of these arrays — lane j of a range's slice accumulates that
-// range's contribution for the j-th distinct demand group the range touches
-// (demand in pass 1, integer source outflow in pass 2). Slices are sized and
-// cache-line padded at plan build, so concurrent ranges never share a line,
-// and a fixed range-order reduction folds them into the shard's canonical
-// per-group totals between the passes. Allocation happens only at Reset
-// (plan rebuild); batches reuse the lanes, keeping steady state alloc-free.
-class SplitLaneBank {
- public:
-  void Reset(uint32_t slots) {
-    size_ = slots;
-    demand_base_ = bank_internal::Align64(demand_, slots);
-    outflow_base_ = bank_internal::Align64(outflow_, slots);
-  }
-  void Clear() { Reset(0); }
-  uint32_t size() const { return size_; }
-
-  double* demand() { return demand_base_; }
-  Quantity* outflow() { return outflow_base_; }
-
- private:
-  uint32_t size_ = 0;
-  std::vector<double> demand_;
-  std::vector<Quantity> outflow_;
-  double* demand_base_ = nullptr;
-  Quantity* outflow_base_ = nullptr;
 };
 
 }  // namespace cinder

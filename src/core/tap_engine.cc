@@ -184,7 +184,6 @@ void TapEngine::StampPlan() {
   const std::vector<ObjectId>& taps = kernel_->ObjectsOfType(ObjectType::kTap);
   plan_reserve_horizon_ = reserves.empty() ? kInvalidObjectId : reserves.back();
   plan_tap_horizon_ = taps.empty() ? kInvalidObjectId : taps.back();
-  plan_split_ = split_;
   plan_record_mask_ = telem_ != nullptr ? telem_->record_mask() : 0;
   plan_topology_epoch_ = kernel_->topology_epoch();
   plan_access_epoch_ = kernel_->access_epoch();
@@ -261,14 +260,12 @@ void TapEngine::RebuildPlan() {
   if (headroom) {
     const uint32_t entries = static_cast<uint32_t>(resolved_.size()) +
                              Spare(true, static_cast<uint32_t>(resolved_.size()));
-    for (auto* v : {&plan_src_, &plan_dst_, &plan_group_, &group_src_slot_, &group_size_}) {
+    for (auto* v : {&plan_src_, &plan_dst_, &plan_group_}) {
       ReserveFresh(*v, entries);
     }
-    ReserveFresh(group_fast_, entries);
     const uint32_t shards = num_shards_ + Spare(true, nr) / 2 + 1;
     for (auto* v : {&shard_plan_begin_, &shard_want_begin_, &shard_slot_begin_,
-                    &shard_group_begin_, &shard_group_count_, &shard_sink_slot_, &shard_unit_,
-                    &split_of_shard_}) {
+                    &shard_group_begin_, &shard_sink_slot_, &shard_unit_}) {
       ReserveFresh(*v, shards);
     }
     ReserveFresh(shard_sink_, shards);
@@ -300,7 +297,6 @@ void TapEngine::RebuildPlan() {
   decay_active_.resize(num_shards_);
   shard_sink_.assign(num_shards_, nullptr);
   shard_sink_slot_.assign(num_shards_, kNoBankSlot);
-  shard_group_count_.assign(num_shards_, 0);
   stats_.assign(num_shards_, ShardStats{});
   for (uint32_t s = 0; s < num_shards_; ++s) {
     FillShard(s, resv_order_.data() + resv_begin_[s], resv_begin_[s + 1] - resv_begin_[s],
@@ -310,11 +306,9 @@ void TapEngine::RebuildPlan() {
   group_capacity_ = shard_group_begin_.back() + Spare(headroom, want);
   group_base_ =
       bank_internal::Align64(group_demand_, shard_group_begin_.back(), group_capacity_);
-  IndexGroups(0);
   shard_live_.assign(num_shards_, 1);
   live_shards_ = num_shards_;
-  BuildSplitPlan();
-  BuildTicketTables();
+  BuildTicketTable();
 
   if (telem_ != nullptr && telem_->enabled()) {
     EmitPlanRecords(/*all=*/true, 0, 0);
@@ -336,7 +330,6 @@ void TapEngine::RebuildPlan() {
 bool TapEngine::TryUpdatePlan() {
   const uint32_t mask = telem_ != nullptr ? telem_->record_mask() : 0;
   if (!plan_valid_ || kernel_->access_epoch() != plan_access_epoch_ ||
-      split_.min_entries != plan_split_.min_entries || split_.ranges != plan_split_.ranges ||
       mask != plan_record_mask_) {
     return false;
   }
@@ -356,11 +349,6 @@ bool TapEngine::TryUpdatePlan() {
   retired_.clear();
   if (!partitioner_->Update(*kernel_, pending_deletes_, &retired_)) {
     return false;
-  }
-  for (const uint32_t s : retired_) {
-    if (split_of_shard_[s] != kNoSplit) {
-      return false;
-    }
   }
   const uint32_t added = layout.num_shards - old_shards;
 
@@ -426,11 +414,8 @@ bool TapEngine::TryUpdatePlan() {
   const uint32_t old_units = unit_count();
   const uint32_t first_slot = shard_slot_begin_.back();
   for (uint32_t k = 0; k < added; ++k) {
-    const uint32_t entries = entry_begin_[k + 1] - entry_begin_[k];
-    if (SplitCandidate(old_shards + k, entries)) {
-      return false;
-    }
-    PlaceShard(old_shards + k, resv_begin_[k + 1] - resv_begin_[k], entries);
+    PlaceShard(old_shards + k, resv_begin_[k + 1] - resv_begin_[k],
+               entry_begin_[k + 1] - entry_begin_[k]);
   }
   const auto slots = static_cast<uint32_t>(shard_slot_begin_.back() + strays_.size());
   const uint32_t want = shard_want_begin_.back();
@@ -457,10 +442,8 @@ bool TapEngine::TryUpdatePlan() {
   decay_active_.resize(num_shards_);
   shard_sink_.resize(num_shards_, nullptr);
   shard_sink_slot_.resize(num_shards_, kNoBankSlot);
-  shard_group_count_.resize(num_shards_, 0);
   stats_.resize(num_shards_, ShardStats{});
   shard_live_.resize(num_shards_, 1);
-  split_of_shard_.resize(num_shards_, kNoSplit);
   for (uint32_t k = 0; k < added; ++k) {
     FillShard(old_shards + k, resv_order_.data() + resv_begin_[k],
               resv_begin_[k + 1] - resv_begin_[k], entry_order_.data() + entry_begin_[k]);
@@ -478,8 +461,7 @@ bool TapEngine::TryUpdatePlan() {
     RetireShard(s);
   }
   bank_internal::Grow64(group_demand_, shard_group_begin_.back());
-  IndexGroups(first_entry);
-  BuildTicketTables();
+  BuildTicketTable();
   if (telem_ != nullptr && telem_->enabled()) {
     EmitPlanRecords(/*all=*/false, first_entry, first_slot);
   }
@@ -522,7 +504,7 @@ void TapEngine::PlaceShard(uint32_t s, uint32_t reserves, uint32_t entries) {
     // between rebuilds.
     weight = partitioner_->layout().shard_edges[s] + partitioner_->layout().shard_reserves[s];
   }
-  const bool alone = weight >= kUnitEntries || SplitCandidate(s, entries);
+  const bool alone = weight >= kUnitEntries;
   if (alone || !unit_open_) {
     // A new unit. One thread writes a whole unit, so only unit starts are
     // padded: reserve slots to a full 64 (the bank's flags array is one byte
@@ -575,7 +557,6 @@ void TapEngine::FillShard(uint32_t s, const uint32_t* resv, uint32_t reserves,
     group = PadTo(group, kAlign);
     shard_group_begin_.back() = group;
   }
-  const uint32_t first_group = group;
   const uint32_t pb = shard_plan_begin_[s];
   const uint32_t entries = shard_plan_begin_[s + 1] - pb;
   group_of_src_.assign(entries > 0 ? reserves : 0, kNoBankSlot);
@@ -592,7 +573,6 @@ void TapEngine::FillShard(uint32_t s, const uint32_t* resv, uint32_t reserves,
     e.tap->AttachBank(&tbank_, shard_want_begin_[s] + k, kernel_->HandleOf(e.tap->id()));
   }
   shard_group_begin_.push_back(group);
-  shard_group_count_[s] = group - first_group;
   stats_[s] = ShardStats{entries, wired};
   unit_size_[shard_unit_[s]] += entries + wired;
 }
@@ -665,196 +645,21 @@ uint32_t TapEngine::ShardOfSlot(uint32_t slot) const {
          1;
 }
 
-void TapEngine::IndexGroups(uint32_t first) {
-  // Per-group metadata for the range split: the source's slot (group <->
-  // source is a bijection within a shard) and the entry count, so the
-  // classification step and the slow-entry accounting need no extra sweeps
-  // per batch. Cheap enough to keep for every plan.
-  if (first == 0) {
-    group_src_slot_.clear();
-    group_size_.clear();
-    group_fast_.clear();
-  }
-  const uint32_t groups = shard_group_begin_.back();
-  group_src_slot_.resize(groups, 0);
-  group_size_.resize(groups, 0);
-  group_fast_.resize(groups, 1);
-  for (uint32_t i = first; i < plan_group_.size(); ++i) {
-    group_src_slot_[plan_group_[i]] = plan_src_[i];
-    ++group_size_[plan_group_[i]];
-  }
-}
-
-bool TapEngine::SplitCandidate(uint32_t s, uint32_t entries) const {
-  if (split_.min_entries == 0 || split_.ranges < 2 || entries < 2) {
-    return false;
-  }
-  // Size by the larger of the partitioner's component edge count and the
-  // live plan section: the edge count is topology-stable, so a label flap
-  // that hides a few taps cannot flip a component in and out of splitting
-  // between rebuilds.
-  uint32_t size = entries;
-  const ShardLayout& layout = partitioner_->layout();
-  if (partitioner_->valid() && s < layout.shard_edges.size() && layout.shard_edges[s] > size) {
-    size = layout.shard_edges[s];
-  }
-  return size >= split_.min_entries;
-}
-
-void TapEngine::BuildSplitPlan() {
-  const auto n = static_cast<uint32_t>(plan_src_.size());
-  split_of_shard_.assign(num_shards_, kNoSplit);
-  split_shards_.clear();
-  split_k_ = split_.ranges;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (SplitCandidate(s, shard_plan_begin_[s + 1] - shard_plan_begin_[s])) {
-      split_of_shard_[s] = static_cast<uint32_t>(split_shards_.size());
-      split_shards_.push_back(s);
-    }
-  }
-  const auto nu = static_cast<uint32_t>(split_shards_.size());
-  if (nu == 0) {
-    // Nothing splits this epoch: none of the range machinery below is
-    // allocated or touched.
-    lanes_.Clear();
-    return;
-  }
-
-  const uint32_t k = split_k_;
-  range_bounds_.assign(static_cast<size_t>(nu) * (k + 1), 0);
-  lane_base_.assign(static_cast<size_t>(nu) * k, 0);
-  range_group_begin_.assign(static_cast<size_t>(nu) * k + 1, 0);
-  range_group_ids_.clear();
-  entry_lane_.assign(n, 0);
-  entry_dst_shared_.assign(n, 0);
-  range_scratch_.assign(static_cast<size_t>(nu) * k, RangeScratch{});
-  split_slow_entries_.assign(nu, 0);
-  // Deferred/pending slices reuse the dense plan-entry index space: range
-  // [b, e) owns [b, e) of each array, so capacity is exact and batches never
-  // push_back (the alloc-free steady-state contract).
-  deferred_slot_.assign(n, 0);
-  deferred_amt_.assign(n, 0);
-  pending_slot_.assign(n, 0);
-
-  const uint32_t total_groups = shard_group_begin_[num_shards_];
-  split_group_stamp_.assign(total_groups, 0);
-  split_group_lane_.assign(total_groups, 0);
-  split_dst_stamp_.assign(rbank_.size(), 0);
-  split_dst_first_.assign(rbank_.size(), 0);
-  split_dst_shared_.assign(rbank_.size(), 0);
-
-  constexpr uint32_t kLanePad = 64 / sizeof(double);  // Lane slots per cache line.
-  uint32_t next_lane = 0;
-  for (uint32_t u = 0; u < nu; ++u) {
-    const uint32_t s = split_shards_[u];
-    const uint32_t lo = shard_plan_begin_[s];
-    const uint32_t hi = shard_plan_begin_[s + 1];
-    const uint32_t len = hi - lo;
-    uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(u) * (k + 1);
-    bounds[0] = lo;
-    bounds[k] = hi;
-    for (uint32_t j = 1; j < k; ++j) {
-      const uint32_t even = lo + static_cast<uint32_t>(static_cast<uint64_t>(j) * len / k);
-      // Snap forward to the next demand-group run boundary within a bounded
-      // window: plans built from per-source tap creation lay each group
-      // contiguous, so a small nudge keeps most groups whole inside one
-      // range. A group longer than the window simply straddles — the lane
-      // reduction handles that exactly, at the cost of one extra lane slot.
-      uint32_t b = even;
-      while (b > lo && b < hi && b - even < 64 && plan_group_[b] == plan_group_[b - 1]) {
-        ++b;
-      }
-      if (b >= hi || plan_group_[b] == plan_group_[b - 1]) {
-        // No boundary within the window, or the group runs to the shard end
-        // (snapping to hi would just empty every later range): keep the even
-        // split and let the group straddle.
-        b = even;
-      }
-      if (b < bounds[j - 1]) {
-        b = bounds[j - 1];
-      }
-      bounds[j] = b;
-    }
-
-    // Per-range distinct-group lane map: lane j of a range's slice belongs
-    // to the j-th distinct group the range touches, in entry order.
-    for (uint32_t r = 0; r < k; ++r) {
-      const uint32_t rr = u * k + r;
-      const uint32_t stamp = rr + 1;
-      uint32_t cnt = 0;
-      range_group_begin_[rr] = static_cast<uint32_t>(range_group_ids_.size());
-      for (uint32_t i = bounds[r]; i < bounds[r + 1]; ++i) {
-        const uint32_t g = plan_group_[i];
-        if (split_group_stamp_[g] != stamp) {
-          split_group_stamp_[g] = stamp;
-          split_group_lane_[g] = cnt++;
-          range_group_ids_.push_back(g);
-        }
-        entry_lane_[i] = split_group_lane_[g];
-      }
-      lane_base_[rr] = next_lane;
-      next_lane += (cnt + kLanePad - 1) / kLanePad * kLanePad;
-    }
-
-    // Destination classification: a slot deposited into by exactly one range
-    // takes direct writes from that range in pass 2 (it owns the line); a
-    // slot two or more ranges feed gets every deposit deferred to the
-    // serial, range-ordered finalize.
-    for (uint32_t r = 0; r < k; ++r) {
-      for (uint32_t i = bounds[r]; i < bounds[r + 1]; ++i) {
-        const uint32_t d = plan_dst_[i];
-        if (split_dst_stamp_[d] != u + 1) {
-          split_dst_stamp_[d] = u + 1;
-          split_dst_first_[d] = r;
-          split_dst_shared_[d] = 0;
-        } else if (split_dst_first_[d] != r) {
-          split_dst_shared_[d] = 1;
-        }
-      }
-    }
-    for (uint32_t i = lo; i < hi; ++i) {
-      entry_dst_shared_[i] = split_dst_shared_[plan_dst_[i]];
-    }
-  }
-  range_group_begin_[static_cast<size_t>(nu) * k] =
-      static_cast<uint32_t>(range_group_ids_.size());
-  lanes_.Reset(next_lane);
-}
-
-void TapEngine::BuildTicketTables() {
+void TapEngine::BuildTicketTable() {
   // Units largest first (plan entries plus decay-wired reserves, stable on
   // unit index, so the order is deterministic): the executor starts the big
   // units immediately so one giant component never serializes the tail of
-  // a batch. Pass 1 covers every shard — one ticket per plain unit, range
-  // tickets for a split shard — and pass 2 is the split shards' ranges.
-  // Empty tail ranges (entries < k) get no tickets.
-  tickets_pass1_.clear();
-  tickets_pass2_.clear();
+  // a batch.
   const uint32_t nu = unit_count();
   unit_totals_.resize(nu);
   unit_order_.resize(nu);
   std::iota(unit_order_.begin(), unit_order_.end(), 0u);
   std::stable_sort(unit_order_.begin(), unit_order_.end(),
                    [&](uint32_t a, uint32_t b) { return unit_size_[a] > unit_size_[b]; });
-  const uint32_t k = split_k_;
+  tickets_.clear();
   for (const uint32_t u : unit_order_) {
-    const uint32_t s = unit_shard_begin_[u];
-    const uint32_t count = unit_shard_begin_[u + 1] - s;
-    const uint32_t split = split_of_shard_[s];
-    if (count == 1 && split != kNoSplit) {
-      const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (k + 1);
-      uint32_t nonempty = 0;
-      for (uint32_t r = 0; r < k; ++r) {
-        if (bounds[r + 1] > bounds[r]) {
-          ++nonempty;
-          tickets_pass1_.push_back(ShardTicket{s, split, r, ShardTicketKind::kPass1Range});
-          tickets_pass2_.push_back(ShardTicket{s, split, r, ShardTicketKind::kPass2Range});
-        }
-      }
-      stats_[s].ranges = nonempty;
-    } else {
-      tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kUnit, count});
-    }
+    tickets_.push_back(
+        ShardTicket{unit_shard_begin_[u], unit_shard_begin_[u + 1] - unit_shard_begin_[u]});
   }
 }
 
@@ -867,7 +672,7 @@ void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_s
   // deposit, the batch's one battery deposit, and per ticket a kDispatch and
   // a timing record. The opt-in per-tap and per-reserve kinds are not
   // budgeted.
-  const auto tickets = static_cast<uint32_t>(tickets_pass1_.size() + tickets_pass2_.size());
+  const auto tickets = static_cast<uint32_t>(tickets_.size());
   uint32_t batch_records = 0;
   if (telem_->on(RecordKind::kShardBatch)) {
     batch_records += live_shards_;
@@ -878,7 +683,7 @@ void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_s
   if (telem_->on(RecordKind::kDispatch)) {
     batch_records += tickets;
   }
-  if (telem_->on(RecordKind::kShardTiming) || telem_->on(RecordKind::kRangeTiming)) {
+  if (telem_->on(RecordKind::kShardTiming)) {
     batch_records += tickets;
   }
   // Asked for in steps, so the few records a compaction or an update's new
@@ -896,8 +701,7 @@ void TapEngine::EmitPlanRecords(bool all, uint32_t first_entry, uint32_t first_s
   // not with any ring's capacity. A full rebuild writes a row per shard; an
   // update only the shards it changed (a retired shard's row has taps 0).
   const auto shard_row = [this](uint32_t s) {
-    telem_->EmitSpill(RecordKind::kPlanShard, s, static_cast<uint16_t>(stats_[s].ranges), 0,
-                      stats_[s].taps, stats_[s].decay_reserves);
+    telem_->EmitSpill(RecordKind::kPlanShard, s, 0, 0, stats_[s].taps, stats_[s].decay_reserves);
   };
   if (all) {
     for (uint32_t s = 0; s < num_shards_; ++s) {
@@ -961,32 +765,13 @@ void TapEngine::RunBatch(Duration dt) {
   telem_on_ = telem_ != nullptr && telem_->enabled();
   telem_shard_batch_ = (tmask & RecordBit(RecordKind::kShardBatch)) != 0;
   telem_shard_timing_ = (tmask & RecordBit(RecordKind::kShardTiming)) != 0;
-  telem_range_timing_ = (tmask & RecordBit(RecordKind::kRangeTiming)) != 0;
   telem_taps_ = (tmask & RecordBit(RecordKind::kTapTransfer)) != 0;
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
-  // Phase A runs every pass-1 ticket: one per work unit (its shards' full
-  // batches, each settled in the unit), plus the demand passes of split
-  // shards' ranges. The pool wakes only for a batch of two or more tickets;
-  // a one-ticket batch runs inline with no executor round-trip at all.
-  RunPhase(tickets_pass1_);
-  if (!split_shards_.empty()) {
-    // Two-phase range-split pipeline. Serial reduce/classify: fold split
-    // lanes in range order into the canonical per-group demand and classify
-    // each split group. Phase B: the split shards' unconstrained entries,
-    // racing only on range-exclusive state. Serial finalize: deferred
-    // effects, the constrained tail, the decay slice and the settle, in
-    // fixed shard/range order. The reduction order, not the ticket
-    // interleaving, defines every result bit.
-    const auto nu = static_cast<uint32_t>(split_shards_.size());
-    for (uint32_t u = 0; u < nu; ++u) {
-      ReduceSplitDemand(u);
-    }
-    RunPhase(tickets_pass2_);
-    for (uint32_t u = 0; u < nu; ++u) {
-      FinalizeSplitShard(u);
-    }
-  }
+  // One ticket per work unit: its shards' full batches, each settled in
+  // the unit. The pool wakes only for a batch of two or more tickets; a
+  // one-ticket batch runs inline with no executor round-trip at all.
+  RunPhase();
   // Fold the unit sums in unit order, then deposit the battery-bound leakage
   // in one step. Every tap has read the battery before this deposit, exactly
   // as in one shard holding everything, where the decay pass comes last.
@@ -1025,12 +810,12 @@ void TapEngine::RunBatch(Duration dt) {
 // The serial phase loop and the unit body are forced inline like the pass
 // loops below: a single device's batch is one unit of one tiny shard, where
 // a call frame per level costs what the shard's work does.
-[[gnu::always_inline]] inline void TapEngine::RunPhase(const std::vector<ShardTicket>& tickets) {
+[[gnu::always_inline]] inline void TapEngine::RunPhase() {
   if (executor_ != nullptr) {
-    executor_->RunTickets(this, tickets.data(), static_cast<uint32_t>(tickets.size()));
+    executor_->RunTickets(this, tickets_.data(), static_cast<uint32_t>(tickets_.size()));
     return;
   }
-  for (const ShardTicket& t : tickets) {
+  for (const ShardTicket& t : tickets_) {
     RunTicket(t);
   }
 }
@@ -1099,9 +884,8 @@ void TapEngine::RunBatch(Duration dt) {
 // The shared pass loops are forced inline: a fleet batch runs them once per
 // shard, for thousands of few-entry shards, so a call frame per shard would
 // cost what the loop bodies do.
-[[gnu::always_inline]] inline void TapEngine::TapPass1(uint32_t begin, uint32_t end, uint32_t tb,
-                                                       double* demand,
-                                                       const uint32_t* demand_slot) {
+[[gnu::always_inline]] inline void TapEngine::TapPass1(uint32_t begin, uint32_t end,
+                                                       uint32_t tb) {
   // Everything the tap passes touch is a flat array: the dense plan triple
   // (src slot, dst slot, group), the reserve bank, and the padded per-entry
   // arrays rebased through `tb` so each unit's slice is cache-line exclusive.
@@ -1113,6 +897,7 @@ void TapEngine::RunBatch(Duration dt) {
   const double* const tfrac = tbank_.fractions();
   const uint8_t* const tflags = tbank_.flags();
   const uint32_t* const src_slot = plan_src_.data();
+  const uint32_t* const group_of = plan_group_.data();
   for (uint32_t i = begin; i < end; ++i) {
     const uint32_t ti = tb + i;
     const uint8_t f = tflags[ti];
@@ -1128,7 +913,7 @@ void TapEngine::RunBatch(Duration dt) {
       want += static_cast<double>(trate[ti]) * dt_s;
     }
     want_base_[ti] = want;
-    demand[demand_slot[i]] += want;
+    group_base_[group_of[i]] += want;
   }
 }
 
@@ -1197,214 +982,12 @@ Quantity TapEngine::RunShardTaps(uint32_t shard) {
   const uint32_t tb = shard_want_begin_[shard] - begin;
   std::fill(group_base_ + shard_group_begin_[shard],
             group_base_ + shard_group_begin_[shard + 1], 0.0);
-  TapPass1(begin, end, tb, group_base_, plan_group_.data());
+  TapPass1(begin, end, tb);
   return OrderedPass2(shard, begin, end, tb);
 }
 
 [[gnu::always_inline]] inline void TapEngine::RunTicket(const ShardTicket& t) {
-  switch (t.kind) {
-    case ShardTicketKind::kUnit:
-      RunUnit(t.shard, t.shards);
-      break;
-    case ShardTicketKind::kPass1Range:
-      RunPass1Range(t.split, t.range);
-      break;
-    case ShardTicketKind::kPass2Range:
-      RunPass2Range(t.split, t.range);
-      break;
-  }
-}
-
-void TapEngine::EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0) {
-  const uint32_t slot = ShardExecutor::current_worker_slot();
-  if (TraceRing* ring = telem_->ring(slot)) {
-    ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
-               static_cast<uint16_t>(slot << 8 | (range & 0xff)), pass, NowNs() - t0, 0);
-  }
-}
-
-void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
-  // Pass 1 over one contiguous plan-entry range, demand accumulated into the
-  // range's private lane slice instead of the shard's groups. It writes only
-  // this range's slice of want_/lanes, so any interleaving with other tickets
-  // is race-free.
-  const int64_t t0 = telem_range_timing_ ? NowNs() : 0;
-  const uint32_t shard = split_shards_[split];
-  const uint32_t rr = split * split_k_ + range;
-  const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
-  double* const lane = lanes_.demand() + lane_base_[rr];
-  std::fill(lane, lane + (range_group_begin_[rr + 1] - range_group_begin_[rr]), 0.0);
-  TapPass1(bounds[range], bounds[range + 1], shard_want_begin_[shard] - shard_plan_begin_[shard],
-           lane, entry_lane_.data());
-  if (telem_range_timing_) {
-    EmitRangeTiming(shard, range, 1, t0);
-  }
-}
-
-void TapEngine::ReduceSplitDemand(uint32_t split) {
-  const uint32_t shard = split_shards_[split];
-  const uint32_t gb = shard_group_begin_[shard];
-  const uint32_t gcount = shard_group_count_[shard];
-  std::fill(group_base_ + gb, group_base_ + gb + gcount, 0.0);
-  // Range order IS the reduction order: each group's total is the sum of its
-  // lane contributions in ascending range index — a fixed function of the
-  // plan, independent of worker count and of which worker ran which range.
-  // This is the one place straddling groups' floating-point association is
-  // decided.
-  for (uint32_t r = 0; r < split_k_; ++r) {
-    const uint32_t rr = split * split_k_ + r;
-    const double* lane = lanes_.demand() + lane_base_[rr];
-    const uint32_t cb = range_group_begin_[rr];
-    const uint32_t ce = range_group_begin_[rr + 1];
-    for (uint32_t j = cb; j < ce; ++j) {
-      group_base_[range_group_ids_[j]] += lane[j - cb];
-    }
-  }
-  // Classification: a group whose total demand provably fits its source's
-  // opening level gets scale == 1 and no clamp for every entry regardless of
-  // execution order (within a shard only the group itself drains its source,
-  // and deposits only raise levels), so its entries are exactly
-  // parallelizable in pass 2. The margin absorbs the reduction's FP rounding
-  // and the int64->double conversion of the level; misclassifying toward
-  // "constrained" only routes entries to the ordered path — it can never
-  // break conservation or determinism.
-  const Quantity* const lvl = rbank_.levels();
-  uint32_t slow = 0;
-  for (uint32_t g = gb; g < gb + gcount; ++g) {
-    const double total = group_base_[g];
-    const Quantity level = lvl[group_src_slot_[g]];
-    const bool fast =
-        total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
-    group_fast_[g] = fast ? 1 : 0;
-    if (!fast) {
-      slow += group_size_[g];
-    }
-  }
-  split_slow_entries_[split] = slow;
-}
-
-void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
-  // Pass 2 over one range, unconstrained (scale == 1) entries only: granted
-  // equals want, the move is the whole part, and the source clamp provably
-  // never fires, so the transfer needs no source read at all. Source
-  // outflows accumulate in the range's integer lane; deposits go directly to
-  // destinations only this range feeds, and are deferred otherwise.
-  const int64_t t0 = telem_range_timing_ ? NowNs() : 0;
-  TraceRing* const tap_trace =
-      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  const uint32_t shard = split_shards_[split];
-  const uint32_t rr = split * split_k_ + range;
-  const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
-  const uint32_t begin = bounds[range];
-  const uint32_t end = bounds[range + 1];
-  RangeScratch& rs = range_scratch_[rr];
-  rs = RangeScratch{};
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  Quantity* const lane_out = lanes_.outflow() + lane_base_[rr];
-  const uint32_t lane_cnt = range_group_begin_[rr + 1] - range_group_begin_[rr];
-  std::fill(lane_out, lane_out + lane_cnt, Quantity{0});
-  const uint32_t tb = shard_want_begin_[shard] - shard_plan_begin_[shard];
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const double want = want_base_[ti];
-    if (want < 0.0 || group_fast_[group_of[i]] == 0) {
-      continue;  // Disabled, or constrained: the ordered finalize runs it.
-    }
-    // Run here: the skip mark keeps the finalize's ordered pass off it. Only
-    // this range writes the entry's slot.
-    want_base_[ti] = -1.0;
-    const auto whole = static_cast<Quantity>(want);
-    tcarry[ti] = want - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    lane_out[entry_lane_[i]] += whole;
-    const uint32_t d = dst_slot[i];
-    if (entry_dst_shared_[i] != 0) {
-      const uint32_t di = begin + rs.n_deferred++;
-      deferred_slot_[di] = d;
-      deferred_amt_[di] = whole;
-    } else if (CreditSlot(lvl, dep, rflags, d, whole)) {
-      // This range is the slot's only writer this phase (its flag byte
-      // included), so it credits the slot directly; the decay re-add itself
-      // is deferred because the shard's skip-list is shared across ranges.
-      pending_slot_[begin + rs.n_pending++] = d;
-    }
-    ttrans[ti] += whole;
-    rs.tap_flow += whole;
-    if (tap_trace != nullptr) {
-      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                      static_cast<uint16_t>(shard & 0xffff), 0, whole, 0);
-    }
-  }
-  if (telem_range_timing_) {
-    EmitRangeTiming(shard, range, 2, t0);
-  }
-}
-
-void TapEngine::FinalizeSplitShard(uint32_t split) {
-  const uint32_t shard = split_shards_[split];
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
-  std::vector<uint32_t>& active = decay_active_[shard];
-  Quantity flow = 0;
-  // Apply every effect pass 2 deferred, walking ranges in ascending index —
-  // the same fixed order as the demand reduction. Integer deposits and
-  // outflows are associative, so the totals are exact; the order pins down
-  // the observable side channels (decay-list append sequence, the
-  // empty -> non-empty flip tests) deterministically.
-  for (uint32_t r = 0; r < split_k_; ++r) {
-    const uint32_t rr = split * split_k_ + r;
-    const RangeScratch& rs = range_scratch_[rr];
-    flow += rs.tap_flow;
-    const uint32_t base = bounds[r];
-    for (uint32_t j = 0; j < rs.n_deferred; ++j) {
-      const uint32_t d = deferred_slot_[base + j];
-      if (CreditSlot(lvl, dep, rflags, d, deferred_amt_[base + j])) {
-        active.push_back(d);
-      }
-    }
-    for (uint32_t j = 0; j < rs.n_pending; ++j) {
-      active.push_back(pending_slot_[base + j]);
-    }
-    // Source outflows: the group's opening level provably covers the whole
-    // group's demand (that is what made these entries unconstrained), so
-    // per-range subtraction can never undershoot zero.
-    const Quantity* lane_out = lanes_.outflow() + lane_base_[rr];
-    const uint32_t cb = range_group_begin_[rr];
-    const uint32_t ce = range_group_begin_[rr + 1];
-    for (uint32_t j = cb; j < ce; ++j) {
-      const Quantity out = lane_out[j - cb];
-      if (out != 0) {
-        lvl[group_src_slot_[range_group_ids_[j]]] -= out;
-      }
-    }
-  }
-  // The constrained tail: the whole-shard ordered pass 2 (running demand
-  // decrement, proportional scale, source clamp) against the range-order-
-  // reduced group totals. Pass-2 ranges marked every entry they ran, so it
-  // runs exactly the constrained entries, in plan (tap-id) order. Skipped
-  // entirely when the classification found every group unconstrained (the
-  // common giant-fan-out case), keeping the serial section
-  // O(ranges + groups).
-  if (split_slow_entries_[split] > 0) {
-    flow += OrderedPass2(shard, bounds[0], bounds[split_k_], shard_want_begin_[shard] - bounds[0]);
-  }
-  // The shard is a unit of its own; it settles on the (serial) finalize
-  // thread. Its per-range work is timed by kRangeTiming, so the unit writes
-  // no kShardTiming.
-  UnitTotals& totals = unit_totals_[shard_unit_[shard]];
-  totals = UnitTotals{};
-  SettleShard(shard, flow, decay_.enabled ? DecayShard(shard) : DecayResult{}, totals,
-              telem_on_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr);
+  RunUnit(t.shard, t.shards);
 }
 
 TapEngine::DecayResult TapEngine::DecayShard(uint32_t shard) {

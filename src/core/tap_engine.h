@@ -17,11 +17,10 @@
 // plan entries plus decay-wired reserves. One ticket runs a whole unit —
 // every shard's two tap passes and decay slice, back to back — serially in
 // the caller, or on a ShardExecutor worker pool (largest unit first, so one
-// giant component never serializes the tail of a batch). A shard the range
-// split subdivides is a unit of its own. A unit settles each shard right
-// after its decay slice: the leakage into the shard's own sink (decay
-// to_shard_root) lands there at once, and the shard's flows and its
-// battery-bound leakage are summed per unit. After the batch the unit sums
+// giant component never serializes the tail of a batch). A unit settles
+// each shard right after its decay slice: the leakage into the shard's own
+// sink (decay to_shard_root) lands there at once, and the shard's flows and
+// its battery-bound leakage are summed per unit. After the batch the unit sums
 // fold in unit order into the engine totals and one battery deposit, which
 // leaves the battery at the same level as per-shard deposits would (they are
 // integer adds). So results are the same bits for any worker count or unit
@@ -70,22 +69,6 @@ class ShardPartitioner;
 class TraceDomain;
 class TraceRing;
 
-// Intra-shard range split: a component whose plan section has at least
-// `min_entries` entries (or whose partitioner-reported edge count reaches it)
-// runs its two tap passes as `ranges` contiguous plan-entry ranges with a
-// deterministic reduction between them, so one giant component can occupy
-// every worker instead of one. The result is a fixed function of
-// (min_entries, ranges) and the plan — never of the worker count or the
-// execution interleaving — because every cross-range merge happens in range
-// order on the calling thread (see docs/PERFORMANCE.md, "Range split").
-struct SplitConfig {
-  // 0 disables splitting; shards below the threshold keep the PR-3
-  // one-work-item path and its alloc-free steady state.
-  uint32_t min_entries = 4096;
-  // Ranges per split shard. Fixed per plan; values < 2 disable splitting.
-  uint32_t ranges = 8;
-};
-
 struct DecayConfig {
   bool enabled = true;
   // Default: 50% leaks away after 10 minutes.
@@ -112,12 +95,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   DecayConfig& decay() { return decay_; }
   const DecayConfig& decay() const { return decay_; }
 
-  // Takes effect on the next plan rebuild. Changing the values changes which
-  // deterministic schedule the engine runs (they are part of the result's
-  // definition, like the decay config), so fix them for a run.
-  SplitConfig& split() { return split_; }
-  const SplitConfig& split() const { return split_; }
-
   // Registers a tap for batch processing. Returns false if the tap does not
   // exist or its endpoints are invalid / of mismatched resource kinds.
   bool Register(ObjectId tap_id);
@@ -140,9 +117,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // plus decay-wired reserves (the partitioner's edge and reserve counts),
   // and a shard that reaches it alone is a unit of its own. A unit's hot
   // plan and bank state is then tens of KiB, so it stays in L2 while one
-  // ticket covers many small components. Fixed, like the range split's
-  // geometry; docs/PERFORMANCE.md, "Setting kUnitEntries", has the sweep
-  // it was set from.
+  // ticket covers many small components. Fixed; docs/PERFORMANCE.md,
+  // "Setting kUnitEntries", has the sweep it was set from.
   static constexpr uint32_t kUnitEntries = 1024;
   // Spare room a full rebuild caused by a topology change reserves at the
   // tail of the banks and the per-entry and demand-group arrays, as a share
@@ -177,7 +153,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   struct ShardStats {
     uint32_t taps = 0;            // Plan entries in the shard.
     uint32_t decay_reserves = 0;  // Energy reserves whose decay runs here.
-    uint32_t ranges = 1;          // Non-empty pass ranges (> 1 = split shard).
     Quantity tap_flow = 0;
     Quantity decay_flow = 0;
   };
@@ -209,10 +184,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // and tap deletions for the next in-place update.
   void OnObjectDeleted(ObjectId id, ObjectType type, ObjectHandle handle) override;
 
-  // ShardTask (executor-facing): runs a unit ticket (its shards' tap passes
-  // and decay slices) or a range ticket of a split shard. Range tickets
-  // touch only their range's slice of the per-entry arrays plus private
-  // lanes, so any interleaving across workers is race-free.
+  // ShardTask (executor-facing): runs a unit ticket, its shards' tap passes,
+  // decay slices and settles. Units own disjoint shards, so any
+  // interleaving across workers is race-free.
   void RunTicket(const ShardTicket& t) override;
 
   // ReserveDecayListener: a reserve became non-empty (or lost its exemption)
@@ -269,9 +243,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // The per-shard layout both paths share, in two steps. PlaceShard puts
   // shard `s` (the next index) into the open work unit or a new one —
   // consecutive shards close a unit once it holds kUnitEntries of
-  // partitioner edges plus reserves; split candidates and shards that
-  // reach that alone are units of one — and reserves its slot, per-entry
-  // and plan ranges at the tail, padded to cache lines at unit starts.
+  // partitioner edges plus reserves; a shard that reaches that alone is a
+  // unit of one — and reserves its slot, per-entry and plan ranges at the
+  // tail, padded to cache lines at unit starts.
   // FillShard then attaches its reserves (resv_order_ indices into the
   // kernel's reserve index) and plan entries (entry_order_ indices into
   // resolved_) to those ranges: slot and decay wiring, sink, entries,
@@ -288,27 +262,17 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void RetireShard(uint32_t s);
   // The shard whose slot range holds bank slot `slot`.
   uint32_t ShardOfSlot(uint32_t slot) const;
-  // Per-group metadata for plan entries [first, end).
-  void IndexGroups(uint32_t first);
   // Stamps the plan as current for the kernel as it is now.
   void StampPlan();
-  // Whether shard `s` with `entries` plan entries is big enough to range
-  // split.
-  bool SplitCandidate(uint32_t s, uint32_t entries) const;
-  // Range-split plan: selects oversized shards, computes (group-boundary
-  // snapped) range bounds, per-range distinct-group lane maps, the
-  // shared/exclusive destination classification, and the two ticket tables.
-  void BuildSplitPlan();
-  // The phase ticket tables (pass 1 / pass 2): one unit ticket per plain
-  // unit, plus split ranges, in largest-unit-first order. O(units).
-  void BuildTicketTables();
-  // Runs one phase's tickets: on the executor when there is one (it runs a
+  // The ticket table: one ticket per work unit, in largest-unit-first
+  // order. O(units).
+  void BuildTicketTable();
+  // Runs the batch's tickets: on the executor when there is one (it runs a
   // single ticket, or a one-worker pool, inline), else serially in order.
-  void RunPhase(const std::vector<ShardTicket>& tickets);
+  void RunPhase();
   // The live shards [first, first + count) of one unit, back to back: tap
   // passes, decay slice and SettleShard each, into the unit's totals; then
-  // one kShardTiming for the unit when any shard ran (a split shard's passes
-  // are timed by kRangeTiming instead).
+  // one kShardTiming for the unit when any shard ran.
   void RunUnit(uint32_t first, uint32_t count);
   // Settles one shard's batch on the thread that ran it: its flows into
   // stats_ and `totals`, its leakage into its own sink (to_shard_root) or
@@ -316,37 +280,18 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // records into `ring` (null: no records).
   void SettleShard(uint32_t shard, Quantity tap_flow, const DecayResult& decay,
                    UnitTotals& totals, TraceRing* ring);
-  // The split execution pipeline (see RunBatch): pass-1 ranges run the
-  // shared pass-1 loop into private lanes; a serial range-order reduction
-  // folds lanes into the canonical per-group totals and classifies each
-  // group as unconstrained (scale == 1 provably) or constrained; pass-2
-  // ranges execute the unconstrained entries with exclusive-destination
-  // writes and deferred lists, marking each entry they ran skipped; the
-  // serial finalize applies every deferred effect in range order, runs the
-  // shared ordered pass 2 over the shard (which leaves exactly the
-  // constrained entries), the shard's decay slice and its SettleShard.
-  void RunPass1Range(uint32_t split, uint32_t range);
-  void ReduceSplitDemand(uint32_t split);
-  void RunPass2Range(uint32_t split, uint32_t range);
-  void FinalizeSplitShard(uint32_t split);
-  // One kRangeTiming record for pass `pass` (1 or 2) of a split range,
-  // timed from `t0`.
-  void EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0);
   // Copies bank state back into every surviving attached object and detaches
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
   void WriteBackBank();
   // The two tap passes of one shard; returns the flow moved.
   Quantity RunShardTaps(uint32_t shard);
-  // The tap passes' loops, one copy each for whole shards and split ranges.
-  // TapPass1 writes the wants of plan entries [begin, end) (per-entry index
-  // tb + i; -1 marks a skip) and sums each into demand[demand_slot[i]]: a
-  // shard's demand groups, or a split range's private lane. OrderedPass2
-  // runs the transfers of [begin, end) in plan order against group_base_,
-  // skipping entries marked -1, and returns the flow moved: a whole
-  // shard's pass 2, or a split shard's constrained tail.
-  void TapPass1(uint32_t begin, uint32_t end, uint32_t tb, double* demand,
-                const uint32_t* demand_slot);
+  // The tap passes' loops over shard `shard`'s plan entries [begin, end)
+  // (per-entry index tb + i). TapPass1 writes each entry's want (-1 marks a
+  // skip) and sums it into its demand group; OrderedPass2 runs the
+  // transfers in plan order against the group totals, skipping entries
+  // marked -1, and returns the flow moved.
+  void TapPass1(uint32_t begin, uint32_t end, uint32_t tb);
   Quantity OrderedPass2(uint32_t shard, uint32_t begin, uint32_t end, uint32_t tb);
   DecayResult DecayShard(uint32_t shard);
   // Telemetry cold path: the plan-time ring sizing and table dump
@@ -419,67 +364,16 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> unit_shard_begin_{0, 1};
   std::vector<uint32_t> unit_size_;
   std::vector<uint32_t> shard_unit_;
-  std::vector<uint32_t> unit_order_;  // BuildTicketTables scratch.
+  std::vector<uint32_t> unit_order_;  // BuildTicketTable scratch.
   uint32_t unit_weight_ = 0;
   bool unit_open_ = false;
   // 0 for a shard an in-place update retired; live_shards_ counts the rest.
   std::vector<uint8_t> shard_live_;
   uint32_t live_shards_ = 1;
 
-  // -- Range split (intra-shard parallel tap passes) ----------------------------
-  // Geometry is rebuilt with the plan; batches only read it. A "split slot"
-  // u densely numbers the split shards; each has exactly split_k_ ranges
-  // (possibly empty at the tail when entries < split_k_), with global
-  // plan-entry bounds in range_bounds_[u * (split_k_ + 1) ..]. Lane slices
-  // live in lanes_ at lane_base_[u * split_k_ + r], one slot per distinct
-  // demand group the range touches (range_group_begin_/range_group_ids_ is
-  // that CSR; entry_lane_ maps each plan entry to its group's lane slot).
-  // Per-range deferred work reuses the dense plan-entry index space: range
-  // [b, e) owns slices [b, e) of deferred_slot_/deferred_amt_ (shared-dst
-  // deposits, applied serially in range order) and pending_slot_ (decay
-  // list re-adds from exclusive-dst deposits).
-  static constexpr uint32_t kNoSplit = UINT32_MAX;
-  SplitConfig split_;
-  uint32_t split_k_ = 0;
-  std::vector<uint32_t> split_shards_;    // split slot -> shard index
-  std::vector<uint32_t> split_of_shard_;  // shard -> split slot or kNoSplit
-  std::vector<uint32_t> range_bounds_;
-  std::vector<uint32_t> lane_base_;
-  std::vector<uint32_t> range_group_begin_;
-  std::vector<uint32_t> range_group_ids_;
-  std::vector<uint32_t> entry_lane_;
-  std::vector<uint8_t> entry_dst_shared_;
-  SplitLaneBank lanes_;
-  std::vector<uint32_t> deferred_slot_;
-  std::vector<Quantity> deferred_amt_;
-  std::vector<uint32_t> pending_slot_;
-  // Per-range batch accumulators (flow moved, deferred/pending counts),
-  // cache-line sized like UnitTotals so concurrent ranges never false-share.
-  struct alignas(64) RangeScratch {
-    Quantity tap_flow = 0;
-    uint32_t n_deferred = 0;
-    uint32_t n_pending = 0;
-  };
-  std::vector<RangeScratch> range_scratch_;
-  // Per demand group (padded global group index space): the source's bank
-  // slot, the entry count, and the per-batch unconstrained classification
-  // (written serially in ReduceSplitDemand, read by pass-2 ranges).
-  std::vector<uint32_t> group_src_slot_;
-  std::vector<uint32_t> group_size_;
-  std::vector<uint8_t> group_fast_;
-  std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
-  std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
-  // Ticket tables handed to the executor: pass 1 covers every shard (unit
-  // tickets, range tickets for split shards) in largest-unit-first order;
-  // pass 2 covers split shards' ranges.
-  std::vector<ShardTicket> tickets_pass1_;
-  std::vector<ShardTicket> tickets_pass2_;
-  // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).
-  std::vector<uint32_t> split_group_stamp_;
-  std::vector<uint32_t> split_group_lane_;
-  std::vector<uint32_t> split_dst_stamp_;
-  std::vector<uint32_t> split_dst_first_;
-  std::vector<uint8_t> split_dst_shared_;
+  // The ticket table handed to the executor: one ticket per work unit, in
+  // largest-unit-first order.
+  std::vector<ShardTicket> tickets_;
 
   std::vector<UnitTotals> unit_totals_;  // One per work unit.
   std::vector<ShardStats> stats_;
@@ -487,12 +381,11 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   uint64_t plan_epoch_ = 0;
   // What the plan was built from, for the in-place update's checks: the
   // kernel's access and topology epochs, the largest reserve and tap ids
-  // (everything past them is new), the split config and the record mask.
+  // (everything past them is new) and the record mask.
   uint64_t plan_access_epoch_ = 0;
   uint64_t plan_topology_epoch_ = 0;
   ObjectId plan_reserve_horizon_ = kInvalidObjectId;
   ObjectId plan_tap_horizon_ = kInvalidObjectId;
-  SplitConfig plan_split_;
   uint32_t plan_record_mask_ = 0;
   bool plan_headroom_ = false;  // The plan reserved headroom.
   // False forces the next UpdatePlan to rebuild in full.
@@ -509,7 +402,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool telem_on_ = false;
   bool telem_shard_batch_ = false;
   bool telem_shard_timing_ = false;
-  bool telem_range_timing_ = false;
   bool telem_taps_ = false;
   bool telem_decay_records_ = false;
   bool telem_reserve_ops_ = false;

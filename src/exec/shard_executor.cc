@@ -57,9 +57,7 @@ void ShardExecutor::DrainTickets(ShardTask* task, const ShardTicket* tickets, ui
     }
     const ShardTicket& tk = tickets[i];
     if (trace != nullptr) {
-      trace->Emit(td->time_us(), RecordKind::kDispatch, tk.shard,
-                  slot_tag | static_cast<uint16_t>(tk.range & 0xff), static_cast<uint8_t>(tk.kind),
-                  0, tk.shards);
+      trace->Emit(td->time_us(), RecordKind::kDispatch, tk.shard, slot_tag, 0, 0, tk.shards);
     }
     task->RunTicket(tk);
     // acq_rel so the waiter's acquire load of done_tickets_ orders every

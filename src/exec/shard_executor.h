@@ -1,5 +1,5 @@
-// A fixed worker pool that runs a batch's tickets (work units and
-// range passes of the tap engine's plan).
+// A fixed worker pool that runs a batch's tickets (the work units of the
+// tap engine's plan).
 //
 // The pool exists so the tap engine can execute independent work concurrently
 // without per-batch thread spawns or heap allocation: workers are parked on a

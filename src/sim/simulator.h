@@ -35,15 +35,11 @@
 
 namespace cinder {
 
-// Tap-batch execution knobs, grouped. Most configure how batches execute,
-// not what they compute; decay_to_shard_root is part of the result's
-// definition: each shard's leakage lands in that shard's root reserve
-// instead of the battery. The worker count never changes a result bit, and
-// sched_plan_quanta never does. Which shards range-split is the tap engine's
-// own setting (TapEngine::split(), set before the first batch): a split
-// shard's constrained demand groups re-associate their demand sum across
-// range boundaries, so they can differ from the whole-shard bits
-// (docs/PERFORMANCE.md, "The reduction-order contract").
+// Tap-batch execution knobs, grouped. Only decay_to_shard_root changes
+// result bits: it is part of the result's definition, landing each shard's
+// leakage in that shard's root reserve instead of the battery. The worker
+// count and sched_plan_quanta configure how batches execute, not what they
+// compute, and never change a result bit.
 struct ExecConfig {
   // The reserve/tap graph is always partitioned into independent shards,
   // one per connected component. 0 runs them serially in the calling thread

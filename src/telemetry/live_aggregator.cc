@@ -110,19 +110,11 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       ShardLive& s = ShardAt(r.actor);
       s.taps = static_cast<uint32_t>(r.v0);
       s.decay_reserves = static_cast<uint32_t>(r.v1);
-      s.ranges = r.aux;
       break;
     }
     case RecordKind::kShardTiming: {
       WorkerLive& w = WorkerAt(r.aux);
       w.shard_runs += ShardsTimed(r);
-      w.busy_ns += static_cast<uint64_t>(r.v0);
-      w.window_busy_ns += static_cast<uint64_t>(r.v0);
-      break;
-    }
-    case RecordKind::kRangeTiming: {
-      WorkerLive& w = WorkerAt(r.aux >> 8);
-      ++w.range_runs;
       w.busy_ns += static_cast<uint64_t>(r.v0);
       w.window_busy_ns += static_cast<uint64_t>(r.v0);
       break;
@@ -185,7 +177,7 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       break;
     }
     default:
-      break;
+      break;  // Kinds no query folds, retired kind 3 in older files included.
   }
 }
 
@@ -295,7 +287,6 @@ std::vector<ShardFlow> LiveAggregator::FlowByShard() const {
     f.shard = s.shard;
     f.taps = s.taps;
     f.decay_reserves = s.decay_reserves;
-    f.ranges = s.ranges;
     f.batches = s.batches;
     f.tap_flow = s.tap_flow;
     f.decay_flow = s.decay_flow;
@@ -314,7 +305,6 @@ std::vector<WorkerLoad> LiveAggregator::WorkerLoads() const {
     l.worker = w.worker;
     l.dispatches = w.dispatches;
     l.shard_runs = w.shard_runs;
-    l.range_runs = w.range_runs;
     l.busy_ns = w.busy_ns;
     out.push_back(l);
   }

@@ -39,7 +39,6 @@ struct ShardFlow {
   uint32_t shard = 0;
   uint32_t taps = 0;            // From the latest kPlanShard record.
   uint32_t decay_reserves = 0;  // From the latest kPlanShard record.
-  uint32_t ranges = 1;          // From the latest kPlanShard record.
   uint64_t batches = 0;         // kShardBatch records seen.
   int64_t tap_flow = 0;
   int64_t decay_flow = 0;
@@ -49,7 +48,6 @@ struct WorkerLoad {
   uint32_t worker = 0;      // Slot: 0 = the calling thread.
   uint64_t dispatches = 0;  // Tickets claimed (kDispatch).
   uint64_t shard_runs = 0;  // Shard-batches timed (kShardTiming, summed v1).
-  uint64_t range_runs = 0;  // Range passes timed (kRangeTiming).
   uint64_t busy_ns = 0;     // Summed timed nanoseconds.
 };
 
@@ -164,7 +162,6 @@ class LiveAggregator : public TraceSink {
     // Topology from the latest kPlanShard record.
     uint32_t taps = 0;
     uint32_t decay_reserves = 0;
-    uint32_t ranges = 1;
     uint64_t batches = 0;
     int64_t tap_flow = 0;  // Exact running sums.
     int64_t decay_flow = 0;
@@ -185,7 +182,6 @@ class LiveAggregator : public TraceSink {
     bool seen = false;
     uint64_t dispatches = 0;
     uint64_t shard_runs = 0;
-    uint64_t range_runs = 0;
     uint64_t busy_ns = 0;  // Exact running sum of timed work.
     uint64_t window_busy_ns = 0;
     double busy_ewma_ns = 0.0;

@@ -37,15 +37,11 @@ enum class RecordKind : uint8_t {
   // back to back): actor = the unit's first shard, v1 = live shards it ran
   // (shards an in-place plan update retired run nothing and do not count;
   // a unit with none writes no record), v0 = wall nanoseconds the unit
-  // took, aux = worker slot that ran it.
-  // A range-split shard writes kRangeTiming instead. Files written before
-  // units carry one record per shard with v1 = 0; ShardsTimed reads that
-  // as 1.
+  // took, aux = worker slot that ran it. Files written before units carry
+  // one record per shard with v1 = 0; ShardsTimed reads that as 1.
   kShardTiming = 2,
-  // Per range pass of a split shard: actor = shard index,
-  // aux = (worker slot << 8) | range index, flags = pass (1 or 2),
-  // v0 = wall nanoseconds.
-  kRangeTiming = 3,
+  // 3 was kRangeTiming (range-split passes, since removed): retired, never
+  // reuse it. Readers skip it in files written before the removal.
   // Fine-grained, off by default. One per tap transfer that moved > 0:
   // actor = plan entry index (join against kPlanTap for ids),
   // v0 = moved (nJ), aux = shard index (low 16 bits).
@@ -68,9 +64,10 @@ enum class RecordKind : uint8_t {
   // CPU billing: actor = low 32 bits of the thread id, v0 = billed (nJ).
   kCpuCharge = 9,
   // Executor dispatch: one per ticket claimed on the worker pool (a serial
-  // batch writes none). actor = shard index (a unit ticket's first shard),
-  // aux = (worker slot << 8) | range index, flags = ShardTicketKind,
-  // v1 = shards the ticket covers (a unit's shard count, else 1).
+  // batch writes none). actor = the unit's first shard, aux = worker slot
+  // << 8, v1 = shards the unit covers. Files written before the range split
+  // was removed may carry a range index in aux's low byte and a ticket kind
+  // in flags; readers ignore both.
   kDispatch = 10,
   // Fine-grained, off by default. Plan table dumped at each rebuild so
   // offline readers can map plan entries back to kernel objects:
@@ -78,7 +75,8 @@ enum class RecordKind : uint8_t {
   // v1 = (src id & 0xffffffff) << 32 | (dst id & 0xffffffff).
   kPlanTap = 11,
   // Per shard at each rebuild: actor = shard index, v0 = plan entries
-  // (taps), v1 = decay-wired reserves, aux = non-empty ranges (1 = unsplit).
+  // (taps), v1 = decay-wired reserves, aux = 0 (older files: the shard's
+  // range-split pass count, ignored).
   kPlanShard = 12,
   // Fine-grained, off by default. Reserve table at each rebuild:
   // actor = reserve bank slot, v0 = reserve id, aux = shard (low 16 bits).

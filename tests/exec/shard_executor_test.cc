@@ -8,33 +8,27 @@
 namespace cinder {
 namespace {
 
-// Counts how many times each shard ran: a unit ticket counts every shard it
-// covers, a range ticket its (split, range) cell.
+// Counts how many times each shard ran: a ticket counts every shard its
+// unit covers.
 class CountingTask : public ShardTask {
  public:
-  CountingTask(uint32_t shards, uint32_t cells = 0) : shards_(shards), cells_(cells) {}
+  explicit CountingTask(uint32_t shards) : shards_(shards) {}
   void RunTicket(const ShardTicket& t) override {
-    if (t.kind == ShardTicketKind::kUnit) {
-      for (uint32_t s = t.shard; s < t.shard + t.shards; ++s) {
-        shards_[s].fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      cells_[t.split * 8 + t.range].fetch_add(1, std::memory_order_relaxed);
+    for (uint32_t s = t.shard; s < t.shard + t.shards; ++s) {
+      shards_[s].fetch_add(1, std::memory_order_relaxed);
     }
   }
   uint32_t count(uint32_t s) const { return shards_[s].load(std::memory_order_relaxed); }
-  uint32_t cell_count(uint32_t c) const { return cells_[c].load(std::memory_order_relaxed); }
 
  private:
   std::vector<std::atomic<uint32_t>> shards_;
-  std::vector<std::atomic<uint32_t>> cells_;
 };
 
 // One single-shard unit ticket per shard, in `order` (identity when empty).
 std::vector<ShardTicket> UnitTickets(uint32_t n, const std::vector<uint32_t>& order = {}) {
   std::vector<ShardTicket> tickets;
   for (uint32_t i = 0; i < n; ++i) {
-    tickets.push_back(ShardTicket{order.empty() ? i : order[i], 0, 0, ShardTicketKind::kUnit});
+    tickets.push_back(ShardTicket{order.empty() ? i : order[i], 1});
   }
   return tickets;
 }
@@ -133,10 +127,10 @@ TEST(ShardExecutorTest, UnitTicketsCoverEveryShardOfTheirRange) {
   // claims its unit.
   ShardExecutor exec(4);
   const std::vector<ShardTicket> tickets = {
-      ShardTicket{10, 0, 0, ShardTicketKind::kUnit, 20},
-      ShardTicket{0, 0, 0, ShardTicketKind::kUnit, 1},
-      ShardTicket{1, 0, 0, ShardTicketKind::kUnit, 9},
-      ShardTicket{30, 0, 0, ShardTicketKind::kUnit, 7},
+      ShardTicket{10, 20},
+      ShardTicket{0, 1},
+      ShardTicket{1, 9},
+      ShardTicket{30, 7},
   };
   CountingTask task(37);
   const int kBatches = 500;
@@ -145,37 +139,6 @@ TEST(ShardExecutorTest, UnitTicketsCoverEveryShardOfTheirRange) {
   }
   for (uint32_t s = 0; s < 37; ++s) {
     EXPECT_EQ(task.count(s), static_cast<uint32_t>(kBatches)) << "shard " << s;
-  }
-}
-
-TEST(ShardExecutorTest, RunTicketsDispatchesMixedTicketKindsExactlyOnce) {
-  // A mixed table — unit tickets interleaved with pass-1 range tickets for
-  // two split shards — across many back-to-back batches on a pool,
-  // mirroring how the tap engine's phase A dispatches.
-  ShardExecutor exec(4);
-  std::vector<ShardTicket> tickets;
-  tickets.push_back(ShardTicket{0, 0, 0, ShardTicketKind::kUnit});
-  for (uint32_t r = 0; r < 8; ++r) {
-    tickets.push_back(ShardTicket{1, 0, r, ShardTicketKind::kPass1Range});
-  }
-  tickets.push_back(ShardTicket{2, 0, 0, ShardTicketKind::kUnit});
-  for (uint32_t r = 0; r < 3; ++r) {
-    tickets.push_back(ShardTicket{3, 1, r, ShardTicketKind::kPass2Range});
-  }
-  CountingTask task(4, 16);
-  const int kBatches = 1000;
-  for (int i = 0; i < kBatches; ++i) {
-    RunUnits(exec, &task, tickets);
-  }
-  EXPECT_EQ(task.count(0), static_cast<uint32_t>(kBatches));
-  EXPECT_EQ(task.count(2), static_cast<uint32_t>(kBatches));
-  EXPECT_EQ(task.count(1), 0u);
-  EXPECT_EQ(task.count(3), 0u);
-  for (uint32_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(task.cell_count(r), static_cast<uint32_t>(kBatches)) << "split 0 range " << r;
-  }
-  for (uint32_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(task.cell_count(8 + r), static_cast<uint32_t>(kBatches)) << "split 1 range " << r;
   }
 }
 
@@ -192,7 +155,7 @@ TEST(ShardExecutorTest, RunTicketsSingleTicketRunsInCaller) {
     uint32_t slot = 99;
   };
   ShardExecutor exec(4);
-  const ShardTicket one{5, 0, 0, ShardTicketKind::kUnit};
+  const ShardTicket one{5, 1};
   SlotTask task;
   exec.RunTickets(&task, &one, 1);
   EXPECT_EQ(task.shard, 5u);

@@ -25,8 +25,6 @@
 namespace cinder {
 namespace {
 
-constexpr uint32_t kSplitMin = 256;
-
 // One kernel + engine. Every builder takes its parameters from a serial, so
 // two rigs fed the same calls hold object-for-object identical state.
 struct ReplanRig {
@@ -46,7 +44,6 @@ struct ReplanRig {
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(40);
     engine->decay().to_shard_root = to_root;
-    engine->split().min_entries = kSplitMin;
     engine->set_executor(executor);
   }
 
@@ -158,7 +155,7 @@ struct ReplanRig {
     late_tap = t->id();
   }
   void RegisterLateTap() { EXPECT_TRUE(engine->Register(late_tap)); }
-  // A component past the split threshold.
+  // A large component: a hub fanning out to `leaves` leaves.
   void AddStar(uint64_t serial, int leaves) {
     const std::string p = "star" + std::to_string(serial);
     const ObjectId home =
@@ -291,11 +288,12 @@ TEST(ShardReplanTest, RegisteringATapOlderThanThePlanRebuildsInFull) {
   EXPECT_EQ(PathsTaken(*rig, [&] { rig->RegisterLateTap(); }), kFull);
 }
 
-TEST(ShardReplanTest, SplitSizeComponentJoiningRebuildsInFull) {
+TEST(ShardReplanTest, LargeComponentJoiningAndLeavingUpdatesInPlace) {
+  // A 264-tap star is a shard like any other: joining appends it, leaving
+  // retires it.
   auto rig = ChurnedRig();
-  EXPECT_EQ(PathsTaken(*rig, [&] { rig->AddStar(1, kSplitMin + 8); }), kFull);
-  // Retiring it is a full rebuild too: split shards own range tables.
-  EXPECT_EQ(PathsTaken(*rig, [&] { rig->DeletePhone(rig->phones.size() - 1); }), kFull);
+  EXPECT_EQ(PathsTaken(*rig, [&] { rig->AddStar(1, 264); }), kUpdate);
+  EXPECT_EQ(PathsTaken(*rig, [&] { rig->DeletePhone(rig->phones.size() - 1); }), kUpdate);
 }
 
 TEST(ShardReplanTest, ExhaustedHeadroomRebuildsInFull) {
@@ -319,12 +317,6 @@ TEST(ShardReplanTest, ExhaustedHeadroomRebuildsInFull) {
 
 TEST(ShardReplanTest, ConfigChangesRebuildInFull) {
   auto rig = ChurnedRig();
-  EXPECT_EQ(PathsTaken(*rig,
-                       [&] {
-                         rig->engine->split().ranges = 4;
-                         rig->AddPhone(2001);
-                       }),
-            kFull);
   TelemetryConfig tcfg;
   tcfg.enabled = true;
   TraceDomain domain(tcfg);
@@ -392,7 +384,6 @@ void ExpectSameFlows(const std::vector<ShardFlow>& a, const std::vector<ShardFlo
     EXPECT_EQ(a[i].shard, b[i].shard);
     EXPECT_EQ(a[i].taps, b[i].taps) << "shard " << a[i].shard;
     EXPECT_EQ(a[i].decay_reserves, b[i].decay_reserves) << "shard " << a[i].shard;
-    EXPECT_EQ(a[i].ranges, b[i].ranges) << "shard " << a[i].shard;
     EXPECT_EQ(a[i].batches, b[i].batches) << "shard " << a[i].shard;
     EXPECT_EQ(a[i].tap_flow, b[i].tap_flow) << "shard " << a[i].shard;
     EXPECT_EQ(a[i].decay_flow, b[i].decay_flow) << "shard " << a[i].shard;
@@ -501,7 +492,7 @@ class ShardReplanProperty : public ::testing::TestWithParam<uint64_t> {};
 // A seeded script over twin rigs: `fast` takes whatever path UpdatePlan
 // picks, `full` invalidates its plan before every batch. Whole phones and
 // strays come and go; every few steps one change of a kind only a full
-// rebuild absorbs is mixed in.
+// rebuild absorbs, or a large component joining, is mixed in.
 void RunScript(uint64_t seed, int workers, bool to_root) {
   const std::string label = "seed=" + std::to_string(seed) + " workers=" +
                             std::to_string(workers) + " to_root=" + std::to_string(to_root);
@@ -553,7 +544,7 @@ void RunScript(uint64_t seed, int workers, bool to_root) {
       both([&](ReplanRig& r) { r.RegisterLateTap(); });
       late_pending = false;
     }
-    // One fallback trigger every few steps.
+    // One fallback trigger, or a large component joining, every few steps.
     if (step % 5 == 4 && fast.phones.size() > 4) {
       const size_t a = script.UniformU64(fast.phones.size());
       const size_t b = (a + 1 + script.UniformU64(fast.phones.size() - 1)) % fast.phones.size();
@@ -572,8 +563,8 @@ void RunScript(uint64_t seed, int workers, bool to_root) {
           ++serial;
           late_pending = true;
           break;
-        case 4:
-          both([&](ReplanRig& r) { r.AddStar(serial, static_cast<int>(kSplitMin) + 4); });
+        case 4:  // An in-place update when the headroom holds it.
+          both([&](ReplanRig& r) { r.AddStar(serial, 260); });
           ++serial;
           break;
         default:

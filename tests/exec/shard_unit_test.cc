@@ -1,10 +1,10 @@
 // Work units: consecutive small shards run as one executor ticket, with bank
 // slices padded only at unit starts. Units decide which thread runs a shard
 // and where its slots sit — never a result bit — so the golden bar is the
-// usual one: a plan mixing many small phones, a one-shard unit, a range-split
-// fan-out and a deep chain stays bit-identical to the same reserves and taps
-// run as one whole shard at every worker count, through churn that moves the
-// unit boundaries.
+// usual one: a plan mixing many small phones, one-shard units (rich and poor
+// fan-outs, a hub forest) and a deep chain stays bit-identical to the same
+// reserves and taps run as one whole shard at every worker count, through
+// churn that moves the unit boundaries.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,14 +20,11 @@
 namespace cinder {
 namespace {
 
-constexpr uint32_t kSplitMin = 1536;
-
 // One kernel + engine; a null executor runs the tickets serially in the
 // caller. `one_shard` is the reference: a bridge from the battery to every
 // component's first reserve joins the whole plan into one shard
-// (tests/exec/one_shard_reference.h), and the split is off, so it runs
-// whole. The builders are deterministic, so two rigs fed the same calls hold
-// the same reserves and registered taps.
+// (tests/exec/one_shard_reference.h). The builders are deterministic, so two
+// rigs fed the same calls hold the same reserves and registered taps.
 struct Rig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
@@ -44,7 +41,6 @@ struct Rig {
     engine = std::make_unique<TapEngine>(&kernel, battery);
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(30);
-    engine->split().min_entries = one_shard ? 0 : kSplitMin;
     engine->set_executor(executor);
   }
 
@@ -101,16 +97,49 @@ struct Rig {
     phones.erase(phones.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
-  // A rich hub fanning out to `leaves` sinks: one demand group, provably
-  // unconstrained, so even a range-split star matches the unsplit engine.
-  void AddStar(const std::string& name, int leaves) {
+  // A hub fanning out to `leaves` sinks: one demand group, unconstrained
+  // when the hub is rich and constrained every batch when it is poor. Every
+  // seventeenth tap is disabled.
+  void AddStar(const std::string& name, int leaves, double hub_joules = 9000.0) {
     Reserve* hub = NewReserve(name + "/hub");
-    hub->Deposit(ToQuantity(Energy::Joules(9000.0)));
+    hub->Deposit(ToQuantity(Energy::Joules(hub_joules)));
     Bridge(hub);
     for (int i = 0; i < leaves; ++i) {
       Reserve* leaf = NewReserve(name + "/s" + std::to_string(i));
-      NewTap(hub->id(), leaf->id(), name + "/t" + std::to_string(i))
-          ->SetConstantPower(Power::Milliwatts(1 + (i * 3) % 11));
+      Tap* t = NewTap(hub->id(), leaf->id(), name + "/t" + std::to_string(i));
+      t->SetConstantPower(Power::Milliwatts(1 + (i * 3) % 11));
+      t->set_enabled(i % 17 != 16);
+    }
+  }
+
+  // One component with many small groups: a rich pool feeds `hubs` hubs;
+  // each hub feeds `leaves` leaves (constant and proportional taps mixed,
+  // some disabled) and every other hub taps back into the pool. Every third
+  // hub is poor, so its group is constrained from the first batch; the rest
+  // drift between unconstrained and constrained as feeds and drains fight.
+  void AddForest(int hubs, int leaves) {
+    Reserve* pool = NewReserve("forest/pool");
+    pool->Deposit(ToQuantity(Energy::Joules(2000.0)));
+    Bridge(pool);
+    for (int h = 0; h < hubs; ++h) {
+      const std::string hp = "forest/hub" + std::to_string(h);
+      Reserve* hub = NewReserve(hp);
+      hub->Deposit(ToQuantity(Energy::Joules(h % 3 == 0 ? 0.000005 : 3.0 + 0.5 * h)));
+      NewTap(pool->id(), hub->id(), hp + "/feed")
+          ->SetConstantPower(Power::Milliwatts(4 + 3 * h));
+      for (int l = 0; l < leaves; ++l) {
+        Reserve* leaf = NewReserve(hp + "/leaf" + std::to_string(l));
+        Tap* t = NewTap(hub->id(), leaf->id(), hp + "/t" + std::to_string(l));
+        if ((h + l) % 3 == 0) {
+          t->SetProportionalRate(0.02 + 0.005 * l);
+        } else {
+          t->SetConstantPower(Power::Milliwatts(1 + (h * 5 + l) % 9));
+        }
+        t->set_enabled((h * 31 + l) % 11 != 0);
+      }
+      if (h % 2 == 0) {
+        NewTap(hub->id(), pool->id(), hp + "/back")->SetProportionalRate(0.03);
+      }
     }
   }
 
@@ -129,14 +158,17 @@ struct Rig {
     }
   }
 
-  // ~300 small phones with a one-shard unit (a star just over kUnitEntries),
-  // a range-split fan-out and a deep chain in between.
+  // ~300 small phones with one-shard units (stars just over and well past
+  // kUnitEntries), a poor star and a hub forest (weighing less, so they
+  // share a unit with phones) and a deep chain in between.
   void BuildGoldenPlan() {
     int p = 0;
     for (; p < 120; ++p) {
       AddPhone(p);
     }
-    AddStar("giant", 1600);  // Past kSplitMin: range split.
+    AddStar("giant", 1600);
+    AddStar("poor", 96, /*hub_joules=*/0.004);
+    AddForest(16, 6);
     for (; p < 240; ++p) {
       AddPhone(p);
     }
@@ -215,7 +247,6 @@ TEST(ShardUnitTest, GoldenPlanMatchesOneShardThroughChurn) {
   Churn(reference, 1);
   reference.RunBatches(150);
   ASSERT_EQ(reference.engine->shard_count(), 1u);
-  ASSERT_EQ(reference.engine->shard_stats()[0].ranges, 1u);
 
   std::vector<std::unique_ptr<ShardExecutor>> execs;
   for (int workers : {0, 1, 2, 4, 8}) {
@@ -228,25 +259,26 @@ TEST(ShardUnitTest, GoldenPlanMatchesOneShardThroughChurn) {
     Rig rig(exec);
     rig.BuildGoldenPlan();
     rig.RunBatches(150);
-    // The plan really mixes every unit kind: many-phone units, the big star
-    // alone, and split ranges.
+    // The plan really mixes both unit kinds: many-phone units, and each big
+    // star alone.
     const TapEngine& e = *rig.engine;
     ASSERT_GE(e.unit_count(), 5u) << label;
     uint32_t many = 0;
-    uint32_t split = 0;
+    uint32_t alone = 0;
     for (uint32_t u = 0; u < e.unit_count(); ++u) {
       const uint32_t first = e.unit_first_shard(u);
       const uint32_t end = u + 1 < e.unit_count() ? e.unit_first_shard(u + 1) : e.shard_count();
       many += end - first > 50 ? 1 : 0;
       for (uint32_t s = first; s < end; ++s) {
-        split += e.shard_stats()[s].ranges > 1 ? 1 : 0;
-        if (e.shard_stats()[s].taps == 520) {
-          EXPECT_EQ(end - first, 1u) << label << ": the 520-leaf star runs alone";
+        const uint32_t taps = e.shard_stats()[s].taps;
+        if (taps == 520 || taps == 1600) {
+          EXPECT_EQ(end - first, 1u) << label << ": the " << taps << "-leaf star runs alone";
+          ++alone;
         }
       }
     }
     EXPECT_GE(many, 2u) << label;
-    EXPECT_EQ(split, 1u) << label;
+    EXPECT_EQ(alone, 2u) << label;
     const std::vector<uint32_t> before = rig.UnitStarts();
 
     Churn(rig, 0);

@@ -3,13 +3,8 @@
 // back-taps that close small cycles, random charge so constrained groups
 // appear unpredictably — run sharded at several worker counts, through
 // mid-run create/delete churn, conserving every nanojoule across every run
-// segment. Run whole, they must stay bit-identical to the same graph run as
-// one whole shard (the components joined by bridge taps the engine never
-// registers). Range-split, they must stay bit-identical to the same split
-// run serially in the caller: the split re-associates constrained groups'
-// demand, so the split config is part of the result (docs/PERFORMANCE.md,
-// "The reduction-order contract") and the unsplit run is not its
-// reference.
+// segment. They must stay bit-identical to the same graph run as one whole
+// shard (the components joined by bridge taps the engine never registers).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,20 +19,16 @@
 namespace cinder {
 namespace {
 
-// Range-split geometry small enough that every spine splits.
-constexpr uint32_t kSplitMin = 16;
-constexpr uint32_t kSplitRanges = 4;
-
 struct CaterpillarRig {
   Kernel kernel;
   std::unique_ptr<TapEngine> engine;
   ObjectId battery = kInvalidObjectId;
   bool one_shard = false;
 
-  // split_min 0 keeps every component a whole shard. `one_shard` bridges
-  // the battery to every reserve NewReserve makes, so the whole graph stays
-  // one shard however churn cuts it (tests/exec/one_shard_reference.h).
-  CaterpillarRig(ShardExecutor* executor, uint32_t split_min, bool one_shard_reference = false)
+  // `one_shard` bridges the battery to every reserve NewReserve makes, so
+  // the whole graph stays one shard however churn cuts it
+  // (tests/exec/one_shard_reference.h).
+  explicit CaterpillarRig(ShardExecutor* executor, bool one_shard_reference = false)
       : one_shard(one_shard_reference) {
     Reserve* b = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "battery");
     b->set_decay_exempt(true);
@@ -46,8 +37,6 @@ struct CaterpillarRig {
     engine = std::make_unique<TapEngine>(&kernel, battery);
     engine->decay().enabled = true;
     engine->decay().half_life = Duration::Seconds(45);
-    engine->split().min_entries = split_min;
-    engine->split().ranges = kSplitRanges;
     engine->set_executor(executor);
   }
 
@@ -189,13 +178,10 @@ TEST_P(ShardCaterpillarProperty, RandomCaterpillarsBitIdenticalThroughChurn) {
     }
   };
 
-  CaterpillarRig one_shard(nullptr, 0, /*one_shard_reference=*/true);
+  CaterpillarRig one_shard(nullptr, /*one_shard_reference=*/true);
   one_shard.Build(seed);
   drive(one_shard);
   ASSERT_EQ(one_shard.engine->shard_count(), 1u);
-  CaterpillarRig serial_split(nullptr, kSplitMin);
-  serial_split.Build(seed);
-  drive(serial_split);
 
   std::vector<std::unique_ptr<ShardExecutor>> execs;
   for (int workers : {0, 1, 4, 8}) {
@@ -207,21 +193,10 @@ TEST_P(ShardCaterpillarProperty, RandomCaterpillarsBitIdenticalThroughChurn) {
     const std::string label =
         "seed=" + std::to_string(seed) + " workers=" + std::to_string(workers);
 
-    CaterpillarRig whole(exec, 0);
+    CaterpillarRig whole(exec);
     whole.Build(seed);
     drive(whole);
-    ExpectBitIdentical(one_shard, whole, label + " whole");
-    if (workers == 0) {
-      continue;  // serial_split is the 0-worker split run.
-    }
-
-    CaterpillarRig split(exec, kSplitMin);
-    split.Build(seed);
-    drive(split);
-    // Shard 0 holds the spine (the head is the smallest tapped reserve); it
-    // must really have run as ranges, or the identity check proves nothing.
-    EXPECT_GT(split.engine->shard_stats()[0].ranges, 1u) << label;
-    ExpectBitIdentical(serial_split, split, label + " split");
+    ExpectBitIdentical(one_shard, whole, label);
   }
 }
 

@@ -2,7 +2,8 @@
 // multi-component reserve/tap graphs run their batches on a real worker pool
 // (so shards genuinely execute concurrently) and the total quantity in the
 // system must still be conserved to the nanojoule — decay crossing shard
-// boundaries into the battery root included.
+// boundaries into the battery root included — with no reserve ever going
+// negative.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,45 +68,7 @@ TEST_P(ShardConservationProperty, RandomShardedGraphsConserveExactly) {
     }
   }
 
-  auto total = [&] {
-    Quantity sum = 0;
-    for (ObjectId id : k.ObjectsOfType(ObjectType::kReserve)) {
-      sum += k.LookupTyped<Reserve>(id)->level();
-    }
-    return sum;
-  };
-
-  const Quantity before = total();
-  // Irregular batch lengths stress the carry logic on every shard.
-  for (int i = 0; i < 1500; ++i) {
-    engine.RunBatch(Duration::Micros(1000 + static_cast<int64_t>(rng.UniformU64(30000))));
-  }
-  EXPECT_EQ(total(), before) << "seed=" << seed;
-  EXPECT_GE(engine.shard_count(), 1u);
-}
-
-// Same property with the intra-shard range split forced on: one oversized
-// random component (hubs with random fan-outs, random constrained pockets)
-// runs its pass 1/2 as parallel range tickets on a real pool, and every
-// nanojoule must still be accounted for — the fast path's no-clamp proof, the
-// deferred shared-destination deposits, and the ordered constrained tail all
-// feed the same conservation ledger.
-TEST_P(ShardConservationProperty, RangeSplitGraphsConserveExactly) {
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
-  Kernel k;
-  Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
-  battery->set_decay_exempt(true);
-  battery->Deposit(ToQuantity(Energy::Joules(15000.0)));
-  ShardExecutor exec(4);
-  TapEngine engine(&k, battery->id());
-  engine.split().min_entries = 8;
-  engine.split().ranges = 2 + static_cast<uint32_t>(rng.UniformU64(7));
-  engine.set_executor(&exec);
-  engine.decay().enabled = (seed % 2) == 0;
-  engine.decay().half_life = Duration::Seconds(60 + static_cast<int64_t>(rng.UniformU64(600)));
-
-  // One big component: a pool feeding random hubs, each with a random
+  // One bigger component: a pool feeding random hubs, each with a random
   // fan-out. Poor hubs (no deposit) are constrained immediately; shared
   // destinations arise from hubs tapping back into the pool.
   Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
@@ -141,22 +104,20 @@ TEST_P(ShardConservationProperty, RangeSplitGraphsConserveExactly) {
   auto total = [&] {
     Quantity sum = 0;
     for (ObjectId id : k.ObjectsOfType(ObjectType::kReserve)) {
-      sum += k.LookupTyped<Reserve>(id)->level();
+      const Quantity level = k.LookupTyped<Reserve>(id)->level();
+      EXPECT_GE(level, 0) << "seed=" << seed;
+      sum += level;
     }
     return sum;
   };
 
   const Quantity before = total();
+  // Irregular batch lengths stress the carry logic on every shard.
   for (int i = 0; i < 1500; ++i) {
     engine.RunBatch(Duration::Micros(1000 + static_cast<int64_t>(rng.UniformU64(30000))));
+    ASSERT_EQ(total(), before) << "seed=" << seed << " batch " << i;
   }
-  EXPECT_EQ(total(), before) << "seed=" << seed;
-  // The component must genuinely have run split, or the test proves nothing.
-  bool any_split = false;
-  for (const auto& s : engine.shard_stats()) {
-    any_split = any_split || s.ranges > 1;
-  }
-  EXPECT_TRUE(any_split) << "seed=" << seed;
+  EXPECT_GE(engine.shard_count(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardConservationProperty,

@@ -172,55 +172,6 @@ TEST(SimulatorTest, BatteryReserveTracksBaseline) {
   EXPECT_NEAR(spent.joules_f(), 6.99, 0.01);
 }
 
-TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
-  // The engine's split config, set before the first batch, must take effect
-  // in the live simulator — the battery fan-out below is one component, so
-  // a low threshold splits it at any worker count, 0 included — and the
-  // worker count must not change a bit. With demand far under the battery
-  // level every group is unconstrained, so the split runs also match the
-  // whole shard (threshold 0).
-  auto run = [](int workers, uint32_t threshold, uint32_t ranges) {
-    SimConfig cfg;
-    cfg.decay_enabled = false;
-    cfg.exec.tap_workers = workers;
-    Simulator sim(cfg);
-    sim.taps().split().min_entries = threshold;
-    sim.taps().split().ranges = ranges;
-    Kernel& k = sim.kernel();
-    Thread* boot = sim.boot_thread();
-    auto proc = sim.CreateProcess("apps");
-    std::vector<ObjectId> apps;
-    for (int i = 0; i < 48; ++i) {
-      ObjectId r =
-          ReserveCreate(k, *boot, proc.container, Label(Level::k1), "app").value();
-      ObjectId tap = TapCreate(k, sim.taps(), *boot, proc.container,
-                               sim.battery_reserve_id(), r, Label(Level::k1), "t")
-                         .value();
-      (void)TapSetConstantPower(k, *boot, tap, Power::Milliwatts(1 + i % 7));
-      apps.push_back(r);
-    }
-    sim.Run(Duration::Seconds(5));
-    std::vector<Quantity> levels;
-    for (ObjectId id : apps) {
-      levels.push_back(k.LookupTyped<Reserve>(id)->level());
-    }
-    levels.push_back(sim.battery_reserve()->level());
-    bool any_split = false;
-    for (const auto& s : sim.taps().shard_stats()) {
-      any_split |= s.ranges > 1;
-    }
-    return std::pair(levels, any_split);
-  };
-  auto [serial, serial_split] = run(0, 8, 4);
-  EXPECT_TRUE(serial_split);  // tap_workers = 0 splits too, serially.
-  auto [split, did_split] = run(2, 8, 4);
-  EXPECT_TRUE(did_split);
-  EXPECT_EQ(serial, split);
-  auto [off, off_split] = run(2, 0, 4);  // Threshold 0 disables splitting.
-  EXPECT_FALSE(off_split);
-  EXPECT_EQ(serial, off);
-}
-
 TEST(SimulatorTest, CreateThreadInSharesProcess) {
   Simulator sim(QuietConfig());
   auto proc = sim.CreateProcess("app");

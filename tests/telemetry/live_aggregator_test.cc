@@ -100,7 +100,6 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
     EXPECT_EQ(live_shards[i].shard, offline_shards[i].shard);
     EXPECT_EQ(live_shards[i].taps, offline_shards[i].taps);
     EXPECT_EQ(live_shards[i].decay_reserves, offline_shards[i].decay_reserves);
-    EXPECT_EQ(live_shards[i].ranges, offline_shards[i].ranges);
     EXPECT_EQ(live_shards[i].batches, offline_shards[i].batches);
     EXPECT_EQ(live_shards[i].tap_flow, offline_shards[i].tap_flow);
     EXPECT_EQ(live_shards[i].decay_flow, offline_shards[i].decay_flow);
@@ -113,7 +112,6 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
     EXPECT_EQ(live_workers[i].worker, offline_workers[i].worker);
     EXPECT_EQ(live_workers[i].dispatches, offline_workers[i].dispatches);
     EXPECT_EQ(live_workers[i].shard_runs, offline_workers[i].shard_runs);
-    EXPECT_EQ(live_workers[i].range_runs, offline_workers[i].range_runs);
     EXPECT_EQ(live_workers[i].busy_ns, offline_workers[i].busy_ns);
   }
 
@@ -130,9 +128,11 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
 TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   // A unit's timing record carries the shards it covers in v1; a record
   // from a file written before work units has v1 = 0 and timed one shard.
-  // Older files may also hold kind 15, a retired kind no reader knows: it
-  // must load and change no total. The live fold and the offline reader
-  // (through a file, into the reader's own fold) agree on all of it.
+  // Older files may also hold the retired kinds 15 and 3 (range-split pass
+  // timings) and kPlanShard rows whose aux counted a split shard's ranges:
+  // they must load and change no total and no worker load. The live fold
+  // and the offline reader (through a file, into the reader's own fold)
+  // agree on all of it.
   TelemetryConfig tcfg;
   tcfg.enabled = true;
   tcfg.retain_with_sinks = true;
@@ -144,6 +144,8 @@ TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   domain.ring(1)->Emit(0, RecordKind::kShardTiming, 4, 1, 0, 600, 5);
   domain.ring(1)->Emit(0, RecordKind::kShardBatch, 3, 0, 0, 700, 90);
   domain.ring(1)->Emit(0, static_cast<RecordKind>(15), 0, 3, 1, 12345, 7);
+  domain.ring(1)->Emit(0, static_cast<RecordKind>(3), 3, 1 << 8 | 2, 1, 5000, 0);
+  domain.ring(1)->Emit(0, RecordKind::kPlanShard, 3, 4, 0, 64, 2);
   domain.FlushFrame();
 
   const std::string path = ::testing::TempDir() + "shard_timing_units.bin";
@@ -166,6 +168,14 @@ TEST(LiveAggregatorTest, ShardTimingCountsCoveredShardsAndOldRecordsAsOne) {
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].shard_runs, 6u);
   EXPECT_EQ(live[0].busy_ns, 1000u);
+  for (const auto& flows : {reader.FlowByShard(), agg.FlowByShard()}) {
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_EQ(flows[0].shard, 3u);
+    EXPECT_EQ(flows[0].taps, 64u);
+    EXPECT_EQ(flows[0].decay_reserves, 2u);
+    EXPECT_EQ(flows[0].batches, 1u);
+    EXPECT_EQ(flows[0].tap_flow, 700);
+  }
 }
 
 // -- Window mechanics -------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -173,77 +172,6 @@ TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
   }
   EXPECT_EQ(dispatches, units * batches);
   EXPECT_EQ(shard_runs, shard_batches);
-}
-
-TEST(TelemetryEngineTest, SplitShardTimesEveryRangePassLiveAndFromFile) {
-  // One 64-tap fan-out split into 4 ranges: every batch runs a pass-1 and a
-  // pass-2 ticket per non-empty range, and each writes one kRangeTiming
-  // record. The worker-load fold counts them all, both live and read back
-  // from the streamed file, and the plan rows carry the engine's ranges.
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const std::string path =
-        ::testing::TempDir() + "split_ranges_w" + std::to_string(workers) + ".trc";
-    LiveAggregator agg;  // Declared before the simulator: sinks outlive its domain.
-    std::vector<TapEngine::ShardStats> stats;
-    {
-      SimConfig cfg = FleetConfig(workers);
-      cfg.telemetry.stream_path = path;
-      Simulator sim(cfg);
-      sim.taps().split().min_entries = 16;
-      sim.taps().split().ranges = 4;
-      sim.telemetry().AddSink(&agg);
-      Kernel& kernel = sim.kernel();
-      Reserve* pool = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "pool");
-      pool->Deposit(ToQuantity(Energy::Joules(500.0)));
-      for (int i = 0; i < 64; ++i) {
-        Reserve* sink =
-            kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "sink");
-        Tap* tap = kernel.Create<Tap>(kernel.root_container_id(), Label(Level::k1), "feed",
-                                      pool->id(), sink->id());
-        tap->SetConstantPower(Power::Milliwatts(1 + i % 7));
-        ASSERT_TRUE(sim.taps().Register(tap->id()));
-      }
-      sim.Run(Duration::Millis(500));
-      sim.telemetry().FlushFrame();
-      stats = sim.taps().shard_stats();
-    }  // The simulator's stream sink finalizes the file.
-
-    const auto check = [&stats](const std::vector<ShardFlow>& flows,
-                                const std::vector<WorkerLoad>& loads) {
-      ASSERT_EQ(flows.size(), stats.size());
-      uint32_t k = 0;
-      uint64_t split_batches = 0;
-      for (const ShardFlow& f : flows) {
-        EXPECT_EQ(f.ranges, stats[f.shard].ranges) << "shard " << f.shard;
-        if (stats[f.shard].ranges > 1) {
-          k = stats[f.shard].ranges;
-          split_batches = f.batches;
-        }
-      }
-      ASSERT_EQ(k, 4u) << "the fan-out must run split";
-      ASSERT_GT(split_batches, 0u);
-      uint64_t range_runs = 0;
-      uint64_t busy_ns = 0;
-      for (const WorkerLoad& w : loads) {
-        range_runs += w.range_runs;
-        busy_ns += w.busy_ns;
-      }
-      EXPECT_EQ(range_runs, 2 * k * split_batches);
-      EXPECT_GT(busy_ns, 0u);
-    };
-    {
-      SCOPED_TRACE("live");
-      check(agg.FlowByShard(), agg.WorkerLoads());
-    }
-    TraceReader reader;
-    std::string error;
-    ASSERT_TRUE(TraceReader::LoadFile(path, &reader, &error)) << error;
-    std::remove(path.c_str());
-    ASSERT_TRUE(reader.complete());
-    SCOPED_TRACE("file");
-    check(reader.FlowByShard(), reader.WorkerLoads());
-  }
 }
 
 TEST(TelemetryEngineTest, OneUnitFleetRunsInlineWithoutWakingThePool) {

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("  %6u %10" PRIu64 " %10" PRIu64 " %12.3f %12.4f %12" PRIu64 "\n", w.worker,
-                  w.dispatches, w.shard_runs + w.range_runs,
+                  w.dispatches, w.shard_runs,
                   static_cast<double>(w.busy_ns) / 1e6, w.busy_ewma_ns / 1e6, w.idle_windows);
     }
   }

@@ -35,7 +35,6 @@ const char* KindName(uint8_t kind) {
     case cinder::RecordKind::kFrameMark: return "frame_mark";
     case cinder::RecordKind::kShardBatch: return "shard_batch";
     case cinder::RecordKind::kShardTiming: return "shard_timing";
-    case cinder::RecordKind::kRangeTiming: return "range_timing";
     case cinder::RecordKind::kTapTransfer: return "tap_transfer";
     case cinder::RecordKind::kReserveDeposit: return "reserve_deposit";
     case cinder::RecordKind::kReserveWithdraw: return "reserve_withdraw";
@@ -47,7 +46,7 @@ const char* KindName(uint8_t kind) {
     case cinder::RecordKind::kPlanShard: return "plan_shard";
     case cinder::RecordKind::kPlanReserve: return "plan_reserve";
     case cinder::RecordKind::kSchedPlanBuild: return "sched_plan_build";
-    default: return "?";
+    default: return "retired";  // Kind 3, in files written before its removal.
   }
 }
 
@@ -160,23 +159,21 @@ int main(int argc, char** argv) {
   const auto shards = reader.FlowByShard();
   if (!shards.empty()) {
     std::printf("\nper-shard flow (%zu shards):\n", shards.size());
-    std::printf("  %6s %6s %8s %7s %9s %12s %12s\n", "shard", "taps", "reserves", "ranges",
-                "batches", "tap mJ", "decay mJ");
+    std::printf("  %6s %6s %8s %9s %12s %12s\n", "shard", "taps", "reserves", "batches",
+                "tap mJ", "decay mJ");
     for (const auto& s : shards) {
-      std::printf("  %6u %6u %8u %7u %9" PRIu64 " %12.3f %12.3f\n", s.shard, s.taps,
-                  s.decay_reserves, s.ranges, s.batches, Mj(s.tap_flow), Mj(s.decay_flow));
+      std::printf("  %6u %6u %8u %9" PRIu64 " %12.3f %12.3f\n", s.shard, s.taps,
+                  s.decay_reserves, s.batches, Mj(s.tap_flow), Mj(s.decay_flow));
     }
   }
 
   const auto loads = reader.WorkerLoads();
   if (!loads.empty()) {
     std::printf("\nworker load balance (slot 0 = calling thread):\n");
-    std::printf("  %6s %10s %10s %10s %12s\n", "worker", "dispatches", "shards", "ranges",
-                "busy ms");
+    std::printf("  %6s %10s %10s %12s\n", "worker", "dispatches", "shards", "busy ms");
     for (const auto& w : loads) {
-      std::printf("  %6u %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %12.3f\n", w.worker,
-                  w.dispatches, w.shard_runs, w.range_runs,
-                  static_cast<double>(w.busy_ns) / 1e6);
+      std::printf("  %6u %10" PRIu64 " %10" PRIu64 " %12.3f\n", w.worker, w.dispatches,
+                  w.shard_runs, static_cast<double>(w.busy_ns) / 1e6);
     }
   }
 
